@@ -46,7 +46,7 @@ void runPanel(const Scale& scale, ValueDistribution dist) {
       double expunged = 0.0;
       for (std::size_t r = 0; r < scale.repeats; ++r) {
         InProcCluster cluster(Topology::uniform(global, scale.m, scale.seed + r * 7919));
-        const QueryResult result = cluster.engine().runEdsud(config);
+        const QueryResult result = cluster.engine().run(Algo::kEdsud, config);
         tuples += static_cast<double>(result.stats.tuplesShipped);
         broadcasts += static_cast<double>(result.stats.broadcasts);
         expunged += static_cast<double>(result.stats.expunged);

@@ -28,7 +28,7 @@ Outcome measure(const Dataset& global, const Scale& scale, PruneRule rule,
   Outcome o;
   for (std::size_t r = 0; r < scale.repeats; ++r) {
     InProcCluster cluster(Topology::uniform(global, scale.m, scale.seed + r * 7919));
-    const QueryResult result = cluster.engine().runEdsud(config);
+    const QueryResult result = cluster.engine().run(Algo::kEdsud, config);
     o.tuples += static_cast<double>(result.stats.tuplesShipped);
     o.reported += static_cast<double>(result.skyline.size());
     o.recall += truth == 0

@@ -68,12 +68,6 @@ inline const char* algoLabel(Algo a) {
   return "?";
 }
 
-inline QueryResult runAlgo(QueryEngine& engine, Algo algo,
-                           const QueryConfig& config,
-                           const QueryOptions& options = {}) {
-  return engine.run(algo, config, options);
-}
-
 /// One averaged measurement point.
 struct Point {
   double tuples = 0.0;   ///< mean tuples shipped (the paper's bandwidth)
@@ -100,7 +94,7 @@ inline Point averagePoint(const Dataset& global, std::size_t m,
     clusterConfig.metrics = &metricsRegistry();
     InProcCluster cluster(Topology::uniform(global, m, seed + r * 7919),
                           clusterConfig);
-    const QueryResult result = runAlgo(cluster.engine(), algo, config);
+    const QueryResult result = cluster.engine().run(algo, config);
     p.tuples += static_cast<double>(result.stats.tuplesShipped);
     p.seconds += result.stats.seconds;
     p.skyline += static_cast<double>(result.skyline.size());

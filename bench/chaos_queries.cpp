@@ -43,6 +43,8 @@ struct FaultPoint {
 
 FaultPoint sweepAlgo(const Dataset& global, const Scale& scale, Algo algo,
                      double faultRate, const QueryOptions& options) {
+  QueryConfig query;
+  query.q = scale.q;
   FaultPoint point;
   std::size_t completed = 0;
   for (std::size_t r = 0; r < scale.repeats; ++r) {
@@ -56,7 +58,7 @@ FaultPoint sweepAlgo(const Dataset& global, const Scale& scale, Algo algo,
     InProcCluster cluster(Topology::uniform(global, scale.m, scale.seed + r * 7919), config);
     try {
       const QueryResult result =
-          cluster.engine().run(algo, QueryConfig{.q = scale.q}, options);
+          cluster.engine().run(algo, query, options);
       ++(result.degraded ? point.degraded : point.exact);
       point.seconds += result.stats.seconds;
       ++completed;
@@ -82,6 +84,8 @@ int main() {
   options.fault.retry.maxAttempts = 6;
   options.fault.retry.initialBackoff = std::chrono::milliseconds{0};
   options.fault.onSiteFailure = OnSiteFailure::kDegrade;
+  QueryConfig query;
+  query.q = scale.q;
 
   printTitle("Completion and latency vs transport fault rate");
   printHeader({"fault%", "DSUD exact", "DSUD degr", "DSUD fail", "DSUD s",
@@ -115,7 +119,7 @@ int main() {
       InProcCluster cluster(Topology::uniform(global, scale.m, scale.seed + r * 7919), config);
       try {
         const QueryResult result =
-            cluster.engine().run(algo, QueryConfig{.q = scale.q}, options);
+            cluster.engine().run(algo, query, options);
         ++(result.degraded ? point.degraded : point.exact);
         point.seconds += result.stats.seconds;
         ++completed;

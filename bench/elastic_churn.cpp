@@ -69,7 +69,7 @@ Phase runPhase(InProcCluster& cluster, const Scale& scale,
   std::vector<double> ms;
   ms.reserve(queries);
   for (std::size_t i = 0; i < queries; ++i) {
-    const QueryResult result = cluster.engine().runEdsud(query);
+    const QueryResult result = cluster.engine().run(Algo::kEdsud, query);
     if (result.degraded || answerIds(result) != expected) {
       std::fprintf(stderr,
                    "FATAL: query under churn degraded or changed answer\n");
@@ -116,7 +116,7 @@ int main() {
     QueryConfig query;
     query.q = scale.q;
     const std::vector<TupleId> expected =
-        answerIds(cluster.engine().runEdsud(query));
+        answerIds(cluster.engine().run(Algo::kEdsud, query));
 
     const Phase steady = runPhase(cluster, scale, expected, queries, false);
     printRow(std::uint64_t(replicas), std::string("steady"),

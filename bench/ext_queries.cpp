@@ -40,7 +40,7 @@ void constrainedPanel(const Scale& scale) {
     config.window = window;
 
     InProcCluster cluster(Topology::uniform(global, scale.m, scale.seed));
-    const QueryResult result = cluster.engine().runEdsud(config);
+    const QueryResult result = cluster.engine().run(Algo::kEdsud, config);
     printRow(std::string(w.name),
              static_cast<double>(result.stats.tuplesShipped),
              static_cast<double>(result.skyline.size()));
@@ -57,13 +57,14 @@ void topkPanel(const Scale& scale) {
 
   QueryConfig floorConfig;
   floorConfig.q = 0.05;
-  const QueryResult exhaustive = cluster.engine().runEdsud(floorConfig);
+  const QueryResult exhaustive =
+      cluster.engine().run(Algo::kEdsud, floorConfig);
 
   for (const std::size_t k : {1u, 5u, 10u, 50u, 200u}) {
     TopKConfig config;
     config.k = k;
     config.floorQ = 0.05;
-    const QueryResult result = cluster.engine().runTopK(config);
+    const QueryResult result = cluster.engine().run(config);
     const double saving =
         100.0 * (1.0 - static_cast<double>(result.stats.tuplesShipped) /
                            static_cast<double>(exhaustive.stats.tuplesShipped));
@@ -108,8 +109,8 @@ void skewPanel(const Scale& scale) {
     InProcCluster edsudCluster(Topology::fromPartitions(sites));
     QueryConfig config;
     config.q = scale.q;
-    const QueryResult dsud = dsudCluster.engine().runDsud(config);
-    const QueryResult edsud = edsudCluster.engine().runEdsud(config);
+    const QueryResult dsud = dsudCluster.engine().run(Algo::kDsud, config);
+    const QueryResult edsud = edsudCluster.engine().run(Algo::kEdsud, config);
     printRow(name, static_cast<double>(dsud.stats.tuplesShipped),
              static_cast<double>(edsud.stats.tuplesShipped),
              static_cast<double>(edsud.skyline.size()));

@@ -44,8 +44,8 @@ void runPanel(const Scale& scale, ValueDistribution dist) {
   config.q = scale.q;
 
   InProcCluster cluster(Topology::uniform(global, scale.m, scale.seed + 121));
-  const QueryResult dsud = cluster.engine().runDsud(config);
-  const QueryResult edsud = cluster.engine().runEdsud(config);
+  const QueryResult dsud = cluster.engine().run(Algo::kDsud, config);
+  const QueryResult edsud = cluster.engine().run(Algo::kEdsud, config);
   printCurves(dsud, edsud);
 }
 

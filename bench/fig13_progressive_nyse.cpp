@@ -44,8 +44,8 @@ void runPanel(const Scale& scale, const ProbSampler& probs,
   config.q = scale.q;
 
   InProcCluster cluster(Topology::uniform(trace, scale.m, scale.seed + 131));
-  const QueryResult dsud = cluster.engine().runDsud(config);
-  const QueryResult edsud = cluster.engine().runEdsud(config);
+  const QueryResult dsud = cluster.engine().run(Algo::kDsud, config);
+  const QueryResult edsud = cluster.engine().run(Algo::kEdsud, config);
   printCurves(dsud, edsud);
 }
 

@@ -32,7 +32,7 @@ struct Model {
 
 Model measure(QueryEngine& engine, Algo algo, const QueryConfig& config,
               std::size_t m) {
-  const QueryResult result = runAlgo(engine, algo, config);
+  const QueryResult result = engine.run(algo, config);
   Model model;
   model.tuples = static_cast<double>(result.stats.tuplesShipped);
   model.sequentialRounds = static_cast<double>(result.stats.roundTrips);

@@ -268,7 +268,8 @@ LevelResult runLevel(std::uint16_t port, const LoadScale& scale, double qps) {
   const double perConn = qps / static_cast<double>(scale.conns);
   for (std::size_t c = 0; c < scale.conns; ++c) {
     conns.push_back(std::make_unique<LoadConnection>(
-        port, "c" + std::to_string(c) + "-", perConn, scale.seconds, scale.q));
+        port, std::string("c").append(std::to_string(c)) + "-", perConn,
+        scale.seconds, scale.q));
   }
   const auto t0 = Clock::now();
   for (auto& conn : conns) conn->start();
@@ -401,7 +402,8 @@ BurstResult runBurst(InProcCluster& cluster, const LoadScale& scale,
   for (std::size_t c = 0; c < spec.clients; ++c) {
     const double q = mix == "banded" ? bands[c % 4] : scale.q;
     threads.emplace_back([&, c, q] {
-      burstClient(daemon.port(), "b" + std::to_string(c) + "-",
+      burstClient(daemon.port(),
+                  std::string("b").append(std::to_string(c)) + "-",
                   spec.perClient, q, &completed[c], &failed[c]);
     });
   }

@@ -44,8 +44,11 @@ double meanSeconds(const Dataset& global, std::size_t m, std::size_t repeats,
   options.siteTrace = mode.siteTrace;
   double seconds = 0.0;
   for (std::size_t r = 0; r < repeats; ++r) {
-    InProcCluster cluster(Topology::uniform(global, m, seed + r * 7919), ClusterConfig{.metrics = &metricsRegistry()});
-    const QueryResult result = runAlgo(cluster.engine(), algo, config, options);
+    ClusterConfig clusterConfig;
+    clusterConfig.metrics = &metricsRegistry();
+    InProcCluster cluster(Topology::uniform(global, m, seed + r * 7919),
+                          clusterConfig);
+    const QueryResult result = cluster.engine().run(algo, config, options);
     seconds += result.stats.seconds;
     *spans = result.trace.events.size();
   }
@@ -123,10 +126,12 @@ std::vector<ObsLeg> runObsPanel(const Scale& scale, Algo algo) {
     const std::uint64_t before = obs::flightRecorder().recorded();
     double seconds = 0.0;
     for (std::size_t r = 0; r < scale.repeats; ++r) {
+      ClusterConfig clusterConfig;
+      clusterConfig.metrics = &metricsRegistry();
       InProcCluster cluster(
           Topology::uniform(global, scale.m, scale.seed + r * 7919),
-          ClusterConfig{.metrics = &metricsRegistry()});
-      const QueryResult result = runAlgo(cluster.engine(), algo, config);
+          clusterConfig);
+      const QueryResult result = cluster.engine().run(algo, config);
       seconds += result.stats.seconds;
     }
     seconds /= static_cast<double>(scale.repeats);

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   // --- Full-space threshold query -------------------------------------------
   QueryConfig config;
   config.q = 0.3;
-  QueryResult full = cluster.engine().runEdsud(config);
+  QueryResult full = cluster.engine().run(Algo::kEdsud, config);
   std::printf("full 3-D skyline at q=0.3: %zu hotels (%llu tuples shipped)\n",
               full.skyline.size(),
               static_cast<unsigned long long>(full.stats.tuplesShipped));
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   // --- Subspace: price and beach distance only -------------------------------
   QueryConfig subspace = config;
   subspace.mask = 0b011;
-  QueryResult sub = cluster.engine().runEdsud(subspace);
+  QueryResult sub = cluster.engine().run(Algo::kEdsud, subspace);
   std::printf("subspace {price, beach}: %zu hotels (%llu tuples shipped)\n",
               sub.skyline.size(),
               static_cast<unsigned long long>(sub.stats.tuplesShipped));
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   window.expand(lo);
   window.expand(hi);
   constrained.window = window;
-  QueryResult mid = cluster.engine().runEdsud(constrained);
+  QueryResult mid = cluster.engine().run(Algo::kEdsud, constrained);
   std::printf("mid-price window [0.25, 0.75]: %zu hotels (%llu tuples "
               "shipped)\n",
               mid.skyline.size(),
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   TopKConfig topk;
   topk.k = 5;
   topk.floorQ = 0.05;
-  QueryResult best = cluster.engine().runTopK(topk);
+  QueryResult best = cluster.engine().run(topk);
   std::printf("\ntop-%zu most probable skyline hotels:\n", topk.k);
   for (const GlobalSkylineEntry& e : best.skyline) {
     std::printf("  hotel %-8llu P_gsky = %.3f  (price %.2f, beach %.2f, "

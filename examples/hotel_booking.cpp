@@ -79,7 +79,8 @@ int main() {
       };
 
   std::printf("running e-DSUD...\n");
-  const QueryResult result = cluster.engine().runEdsud(config, options);
+  const QueryResult result =
+      cluster.engine().run(Algo::kEdsud, config, options);
 
   std::printf("\nSKY(H) holds %zu hotels.\n", result.skyline.size());
   std::printf("message bill: %zu To-Server tuples + %zu broadcasts x "

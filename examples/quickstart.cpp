@@ -51,7 +51,8 @@ int main(int argc, char** argv) {
                     entry.site, entry.globalSkyProb,
                     static_cast<unsigned long long>(point.tuplesShipped));
       };
-  const QueryResult result = cluster.engine().runEdsud(config, options);
+  const QueryResult result =
+      cluster.engine().run(Algo::kEdsud, config, options);
 
   std::printf("\n%zu global skyline tuples in %.1f ms\n",
               result.skyline.size(), result.stats.seconds * 1e3);

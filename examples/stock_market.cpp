@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   for (const double q : {0.3, 0.5, 0.7, 0.9}) {
     QueryConfig config;
     config.q = q;
-    const QueryResult result = cluster.engine().runEdsud(config);
+    const QueryResult result = cluster.engine().run(Algo::kEdsud, config);
     std::printf("%-6.1f %10zu %14llu %14.1f\n", q, result.skyline.size(),
                 static_cast<unsigned long long>(result.stats.tuplesShipped),
                 result.stats.seconds * 1e3);
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   // --- Top deals at the default threshold -----------------------------------
   QueryConfig config;
   config.q = args.getDouble("q", 0.3);
-  const QueryResult result = cluster.engine().runEdsud(config);
+  const QueryResult result = cluster.engine().run(Algo::kEdsud, config);
   std::printf("\ntop deals at q = %.2f (price $, volume shares, "
               "P(deal), P_gsky):\n",
               config.q);

@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(options.fault.deadline.count()),
                 options.fault.retry.maxAttempts);
     try {
-      const QueryResult result = engine.runEdsud(config, options);
+      const QueryResult result = engine.run(Algo::kEdsud, config, options);
       std::printf("%zu skyline tuples in %.1f ms\n", result.skyline.size(),
                   result.stats.seconds * 1e3);
       std::printf("bandwidth: %llu tuples / %llu bytes over %llu RPCs\n",

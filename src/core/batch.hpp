@@ -2,11 +2,12 @@
 // layer).
 //
 // N concurrent queries over one cluster used to mean N independent PR-tree
-// descents even when they differed only by threshold.  submitBatched parks
-// a query for a short batching window (QueryOptions::batching); compatible
-// queries arriving inside the window — same algorithm, effective mask,
-// constraint window, prune/bound/expunge knobs, and fault handling; ANY
-// thresholds q1 <= q2 <= ... — merge into one group.  The group runs as a
+// descents even when they differed only by threshold.  QueryEngine::submit
+// parks a query for a short batching window (QueryOptions::batching) when
+// the options enable it; compatible queries arriving inside the window —
+// same algorithm, effective mask, constraint window, prune/bound/expunge
+// knobs, and fault handling; ANY thresholds q1 <= q2 <= ... — merge into one
+// group.  The group runs as a
 // single engine session (the "leader") at the loosest threshold min(q_i),
 // and each member's answer is split back out coordinator-side by filtering
 // the shared answer stream to globalSkyProb >= q_i.
@@ -36,8 +37,8 @@
 
 namespace dsud {
 
-/// One engine's batching window.  Created lazily by
-/// QueryEngine::submitBatched; owns a timer thread that flushes due groups
+/// One engine's batching window.  Created lazily by the first batched
+/// QueryEngine::submit; owns a timer thread that flushes due groups
 /// onto the engine's pool.  Thread-safe.
 class BatchExecutor {
  public:

@@ -40,7 +40,7 @@ QueryResult QueryEngine::naiveImpl(const QueryConfig& config,
       }
     }
     if (run.dead.size() == run.sessions.size()) {
-      throw NetError("runNaive: all sites unavailable");
+      throw NetError("naive: all sites unavailable");
     }
   }
   run.result.stats.candidatesPulled = unified.size();

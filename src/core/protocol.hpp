@@ -95,7 +95,7 @@ struct QueryConfig {
   }
 };
 
-/// Configuration of the top-k extension (QueryEngine::runTopK).
+/// Configuration of the top-k extension (QueryEngine::run(TopKConfig)).
 struct TopKConfig {
   std::size_t k = 10;
   /// Site-side enumeration floor: tuples with local skyline probability

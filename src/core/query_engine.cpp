@@ -35,38 +35,15 @@ QueryEngine::QueryEngine(Coordinator& coordinator, std::size_t workers)
 QueryEngine::~QueryEngine() = default;
 
 QueryResult QueryEngine::run(Algo algo, const QueryConfig& config,
-                             const QueryOptions& options) {
-  return dispatch(algo, config, options, coord_->nextQueryId());
-}
-
-QueryResult QueryEngine::runNaive(const QueryConfig& config,
-                                  const QueryOptions& options) {
-  return dispatch(Algo::kNaive, config, options, coord_->nextQueryId());
-}
-
-QueryResult QueryEngine::runDsud(const QueryConfig& config,
-                                 const QueryOptions& options) {
-  return dispatch(Algo::kDsud, config, options, coord_->nextQueryId());
-}
-
-QueryResult QueryEngine::runEdsud(const QueryConfig& config,
-                                  const QueryOptions& options) {
-  return dispatch(Algo::kEdsud, config, options, coord_->nextQueryId());
-}
-
-QueryResult QueryEngine::runTopK(const TopKConfig& config,
-                                 const QueryOptions& options) {
-  return topkImpl(config, options, coord_->nextQueryId());
-}
-
-QueryResult QueryEngine::run(Algo algo, const QueryConfig& config,
                              const QueryOptions& options, QueryId id) {
-  return dispatch(algo, config, options, id);
+  return dispatch(algo, config, options,
+                  id == kNoQuery ? coord_->nextQueryId() : id);
 }
 
-QueryResult QueryEngine::runTopK(const TopKConfig& config,
-                                 const QueryOptions& options, QueryId id) {
-  return topkImpl(config, options, id);
+QueryResult QueryEngine::run(const TopKConfig& config,
+                             const QueryOptions& options, QueryId id) {
+  return topkImpl(config, options,
+                  id == kNoQuery ? coord_->nextQueryId() : id);
 }
 
 QueryResult QueryEngine::execute(Algo algo, const QueryConfig& config,
@@ -179,14 +156,19 @@ BatchExecutor& QueryEngine::batch() {
   return *batch_;
 }
 
-template <typename Fn>
-QueryTicket QueryEngine::enqueue(QueryId id, Fn task) {
+QueryTicket QueryEngine::submit(Algo algo, QueryConfig config,
+                                QueryOptions options, QueryId id) {
+  if (id == kNoQuery) id = coord_->nextQueryId();
+  if (options.batching.enabled && shareEligible(algo, config)) {
+    return batch().submit(algo, std::move(config), std::move(options), id);
+  }
   inFlight_.fetch_add(1, std::memory_order_relaxed);
   std::future<QueryResult> future;
   try {
-    future = pool().submit([this, task = std::move(task)]() mutable {
+    future = pool().submit([this, algo, config = std::move(config),
+                            options = std::move(options), id] {
       try {
-        QueryResult result = task();
+        QueryResult result = dispatch(algo, config, options, id);
         inFlight_.fetch_sub(1, std::memory_order_relaxed);
         return result;
       } catch (...) {
@@ -199,40 +181,6 @@ QueryTicket QueryEngine::enqueue(QueryId id, Fn task) {
     throw;
   }
   return QueryTicket(id, std::move(future));
-}
-
-QueryTicket QueryEngine::submit(Algo algo, QueryConfig config,
-                                QueryOptions options) {
-  const QueryId id = coord_->nextQueryId();
-  return enqueue(id, [this, algo, config = std::move(config),
-                      options = std::move(options), id] {
-    return dispatch(algo, config, options, id);
-  });
-}
-
-QueryTicket QueryEngine::submitTopK(TopKConfig config, QueryOptions options) {
-  const QueryId id = coord_->nextQueryId();
-  return enqueue(id, [this, config = std::move(config),
-                      options = std::move(options), id] {
-    return topkImpl(config, options, id);
-  });
-}
-
-QueryTicket QueryEngine::submitBatched(Algo algo, QueryConfig config,
-                                       QueryOptions options) {
-  return submitBatched(algo, std::move(config), std::move(options),
-                       coord_->nextQueryId());
-}
-
-QueryTicket QueryEngine::submitBatched(Algo algo, QueryConfig config,
-                                       QueryOptions options, QueryId id) {
-  if (!options.batching.enabled || !shareEligible(algo, config)) {
-    return enqueue(id, [this, algo, config = std::move(config),
-                        options = std::move(options), id] {
-      return dispatch(algo, config, options, id);
-    });
-  }
-  return batch().submit(algo, std::move(config), std::move(options), id);
 }
 
 }  // namespace dsud

@@ -10,7 +10,7 @@
 // alone (survival factors reduce in site order; site sessions are keyed by
 // QueryId).
 //
-// Thread-safety contract: all run*/submit* methods may be called
+// Thread-safety contract: run and submit may be called
 // concurrently from any thread.  The coordinator must outlive the engine
 // and every outstanding QueryTicket.
 #pragma once
@@ -72,53 +72,37 @@ class QueryEngine {
   void setResultCache(ResultCache* cache) noexcept { cache_ = cache; }
   ResultCache* resultCache() const noexcept { return cache_; }
 
-  // --- Synchronous execution ----------------------------------------------
+  // --- Execution ----------------------------------------------------------
+  //
+  // `id` is the session id; kNoQuery means the engine assigns one.  Front
+  // ends pass an id from coordinator().nextQueryId() so they can advertise
+  // it before execution starts — e.g. the daemon's `ack` line, which must
+  // carry the id the query's traces and site sessions will use.
 
   /// Runs one threshold query on the calling thread.
   QueryResult run(Algo algo, const QueryConfig& config,
-                  const QueryOptions& options = {});
+                  const QueryOptions& options = {}, QueryId id = kNoQuery);
 
-  QueryResult runNaive(const QueryConfig& config,
-                       const QueryOptions& options = {});
-  QueryResult runDsud(const QueryConfig& config,
-                      const QueryOptions& options = {});
-  QueryResult runEdsud(const QueryConfig& config,
-                       const QueryOptions& options = {});
-  /// Top-k extension (see topk.cpp for the adaptive-threshold machinery).
-  QueryResult runTopK(const TopKConfig& config,
-                      const QueryOptions& options = {});
+  /// Runs one top-k query on the calling thread (see topk.cpp for the
+  /// adaptive-threshold machinery).
+  QueryResult run(const TopKConfig& config, const QueryOptions& options = {},
+                  QueryId id = kNoQuery);
 
-  /// Variants that run under a caller-provided session id (from
-  /// coordinator().nextQueryId()), so a front end can advertise the id
-  /// before execution starts — e.g. the daemon's `ack` line, which must
-  /// carry the id that the query's traces and site sessions will use.
-  QueryResult run(Algo algo, const QueryConfig& config,
-                  const QueryOptions& options, QueryId id);
-  QueryResult runTopK(const TopKConfig& config, const QueryOptions& options,
-                      QueryId id);
-
-  // --- Asynchronous execution ---------------------------------------------
-
-  /// Enqueues the query on the engine's pool and returns immediately.  The
-  /// config and options are copied into the session, so the caller's may
-  /// go out of scope.  Broadcast workers (options.broadcastThreads) are
-  /// session-private and never borrowed from the submit pool, so submitted
-  /// queries cannot deadlock it.
-  QueryTicket submit(Algo algo, QueryConfig config, QueryOptions options = {});
-  QueryTicket submitTopK(TopKConfig config, QueryOptions options = {});
-
-  /// Shared-work submission: when `options.batching.enabled`, compatible
-  /// queries submitted inside one batching window (same algorithm, subspace,
-  /// window, and execution knobs — any thresholds) merge into ONE site-side
-  /// descent at the loosest threshold, split back out per query.  Each
-  /// ticket's answer is bit-identical to a solo run of its query; stats
-  /// describe the shared descent.  Ineligible or unbatched queries fall
-  /// back to the ordinary submit path.  The explicit-id overload serves
-  /// front ends that advertise the session id before execution (dsudd).
-  QueryTicket submitBatched(Algo algo, QueryConfig config,
-                            QueryOptions options = {});
-  QueryTicket submitBatched(Algo algo, QueryConfig config,
-                            QueryOptions options, QueryId id);
+  /// Enqueues a threshold query on the engine's pool and returns
+  /// immediately.  The config and options are copied into the session, so
+  /// the caller's may go out of scope.  Broadcast workers
+  /// (options.broadcastThreads) are session-private and never borrowed from
+  /// the submit pool, so submitted queries cannot deadlock it.
+  ///
+  /// When `options.batching.enabled` and the query is share-eligible, it
+  /// parks in the batching window instead: compatible queries submitted
+  /// inside one window (same algorithm, subspace, window, and execution
+  /// knobs — any thresholds) merge into ONE site-side descent at the
+  /// loosest threshold, split back out per query.  Each ticket's answer is
+  /// bit-identical to a solo run of its query; stats describe the shared
+  /// descent.
+  QueryTicket submit(Algo algo, QueryConfig config, QueryOptions options = {},
+                     QueryId id = kNoQuery);
 
   /// Queries currently executing or queued on this engine's pool (batched
   /// queries count from submission to ticket fulfilment).
@@ -139,8 +123,8 @@ class QueryEngine {
                        QueryId id);
 
   /// Cache-aware execution: consult the attached result cache, run the
-  /// algorithm on a miss, store share-eligible answers.  All run/submit
-  /// paths funnel through here.
+  /// algorithm on a miss, store share-eligible answers.  Every threshold
+  /// query funnels through here.
   QueryResult dispatch(Algo algo, const QueryConfig& config,
                        const QueryOptions& options, QueryId id);
   /// Raw algorithm switch (no cache).
@@ -153,9 +137,6 @@ class QueryEngine {
 
   ThreadPool& pool();
   BatchExecutor& batch();
-
-  template <typename Fn>
-  QueryTicket enqueue(QueryId id, Fn task);
 
   Coordinator* coord_;
   std::size_t workers_;

@@ -11,8 +11,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -25,7 +23,6 @@
 #include "common/thread_pool.hpp"
 #include "core/coordinator.hpp"
 #include "core/failover.hpp"
-#include "obs/export.hpp"
 #include "obs/log.hpp"
 #include "obs/merge.hpp"
 #include "obs/recorder.hpp"
@@ -549,7 +546,7 @@ struct QueryRun {
     }
     buildProfile(executeDone);
     emitLifecycleEvents();
-    maybeDumpSlowQuery();
+    noteSlowQuery();
     return std::move(result);
   }
 
@@ -607,12 +604,8 @@ struct QueryRun {
 
   /// Slow-query log: when the run exceeded QueryOptions::slowQueryThreshold,
   /// count it and emit a `query.slow` event into the structured log (one
-  /// stream with everything else; the flight recorder retains it).  The
-  /// legacy per-query Perfetto dump — `<algo>-q<id>-<ms>ms.trace.json` in
-  /// `slowQueryDir` — is kept as a compatibility shim for check_trace.py
-  /// consumers and is deprecated (docs/ARCHITECTURE §14).  Best-effort: an
-  /// unwritable directory never fails the query.
-  void maybeDumpSlowQuery() {
+  /// stream with everything else; the flight recorder retains it).
+  void noteSlowQuery() {
     if (options.slowQueryThreshold <= 0.0 ||
         result.stats.seconds < options.slowQueryThreshold) {
       return;
@@ -625,20 +618,6 @@ struct QueryRun {
          obs::field("threshold", options.slowQueryThreshold),
          obs::field("tuples", result.stats.tuplesShipped),
          obs::field("round_trips", result.stats.roundTrips)});
-    if (options.slowQueryDir.empty()) return;
-    try {
-      std::filesystem::create_directories(options.slowQueryDir);
-      const auto ms =
-          static_cast<long long>(result.stats.seconds * 1e3);
-      const std::filesystem::path file =
-          std::filesystem::path(options.slowQueryDir) /
-          (std::string(algo) + "-q" + std::to_string(id) + "-" +
-           std::to_string(ms) + "ms.trace.json");
-      std::ofstream out(file, std::ios::trunc);
-      out << obs::traceToPerfetto(result.trace);
-    } catch (...) {
-      // Losing a dump is acceptable; losing the query result is not.
-    }
   }
 };
 

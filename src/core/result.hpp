@@ -132,8 +132,8 @@ class QueryCancelled : public std::runtime_error {
   QueryId id_;
 };
 
-/// The threshold algorithms QueryEngine::run dispatches over (runTopK is
-/// separate: it takes a TopKConfig).
+/// The threshold algorithms QueryEngine::run dispatches over (top-k is the
+/// run overload that takes a TopKConfig instead).
 enum class Algo {
   kNaive,  ///< Sec. 3.2 baseline: ship everything, answer centrally
   kDsud,   ///< Sec. 5.1: sorted access + exact broadcast evaluation
@@ -153,7 +153,7 @@ enum class SiteTraceMode {
   kFetch,
 };
 
-/// Opt-in shared-work execution (QueryEngine::submitBatched): a submitted
+/// Opt-in shared-work execution (QueryEngine::submit): a submitted
 /// query waits up to `windowSeconds` for compatible queries — same
 /// algorithm, subspace, window, and execution knobs; any thresholds — and
 /// the whole group runs as ONE site-side descent at the loosest threshold,
@@ -208,16 +208,12 @@ struct QueryOptions {
   /// Caps each site session's tracer (same semantics as traceCapacity).
   std::size_t siteTraceCapacity = 65536;
 
-  /// When > 0 and the query's wall time exceeds this many seconds, the
-  /// merged trace is dumped as Perfetto JSON into `slowQueryDir`.
+  /// When > 0 and the query's wall time exceeds this many seconds, the run
+  /// emits a `query.slow` event and counts in dsud_slow_queries_total.
   double slowQueryThreshold = 0.0;
 
-  /// Directory for slow-query trace dumps (created on first use).  Empty
-  /// disables dumping even when the threshold trips.
-  std::string slowQueryDir;
-
-  /// Shared-work batching window (QueryEngine::submitBatched only;
-  /// synchronous run* paths ignore it).
+  /// Shared-work batching window (QueryEngine::submit only; synchronous
+  /// runs ignore it).
   BatchingOptions batching;
 };
 

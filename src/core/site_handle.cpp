@@ -10,130 +10,6 @@
 
 namespace dsud {
 
-namespace {
-
-/// Default per-query view: forwards to the parent handle and records round
-/// trips and tuple counts into the scope (byte counts are transport detail
-/// only RpcSiteHandle can see).
-class SessionView final : public SiteHandle {
- public:
-  SessionView(SiteHandle& parent, QueryUsage* scope)
-      : parent_(&parent), scope_(scope) {}
-
-  SiteId siteId() const noexcept override { return parent_->siteId(); }
-
-  PrepareResponse prepare(const PrepareRequest& request) override {
-    auto msg = parent_->prepare(request);
-    count(0);
-    return msg;
-  }
-  NextCandidateResponse nextCandidate(
-      const NextCandidateRequest& request) override {
-    auto msg = parent_->nextCandidate(request);
-    count(msg.candidate.has_value() ? 1 : 0);
-    return msg;
-  }
-  EvaluateResponse evaluate(const EvaluateRequest& request) override {
-    auto msg = parent_->evaluate(request);
-    count(1);
-    return msg;
-  }
-  ShipAllResponse shipAll() override {
-    auto msg = parent_->shipAll();
-    count(msg.tuples.size());
-    return msg;
-  }
-  void finishQuery(const FinishQueryRequest& request) override {
-    parent_->finishQuery(request);
-    count(0);
-  }
-
-  ApplyInsertResponse applyInsert(const ApplyInsertRequest& r) override {
-    return parent_->applyInsert(r);
-  }
-  ApplyDeleteResponse applyDelete(const ApplyDeleteRequest& r) override {
-    return parent_->applyDelete(r);
-  }
-  RepairDeleteResponse repairDelete(const RepairDeleteRequest& r) override {
-    return parent_->repairDelete(r);
-  }
-  void replicaAdd(const ReplicaAddRequest& r) override {
-    parent_->replicaAdd(r);
-  }
-  void replicaRemove(const ReplicaRemoveRequest& r) override {
-    parent_->replicaRemove(r);
-  }
-
-  StreamTuplesResponse streamTuples(const StreamTuplesRequest& r) override {
-    auto msg = parent_->streamTuples(r);
-    count(r.tuples.size());
-    return msg;
-  }
-  JoinSiteResponse joinSite(const JoinSiteRequest& r) override {
-    auto msg = parent_->joinSite(r);
-    count(0);
-    return msg;
-  }
-  LeaveSiteResponse leaveSite(const LeaveSiteRequest& r) override {
-    auto msg = parent_->leaveSite(r);
-    count(0);
-    return msg;
-  }
-
-  FetchTraceResponse fetchTrace(const FetchTraceRequest& r) override {
-    return parent_->fetchTrace(r);
-  }
-  void setTraceSink(obs::QueryTrace* sink) override {
-    parent_->setTraceSink(sink);
-  }
-
-  std::unique_ptr<SiteHandle> openSession(QueryUsage* scope) override {
-    return parent_->openSession(scope);
-  }
-  std::unique_ptr<SiteHandle> openSession(
-      QueryUsage* scope, const FaultOptions& fault, SiteHealth* health,
-      obs::MetricsRegistry* metrics) override {
-    return parent_->openSession(scope, fault, health, metrics);
-  }
-
-  std::uint32_t lastAttempts() const noexcept override {
-    return parent_->lastAttempts();
-  }
-  std::uint64_t lastNextSeq() const noexcept override {
-    return parent_->lastNextSeq();
-  }
-  std::uint64_t lastEvalSeq() const noexcept override {
-    return parent_->lastEvalSeq();
-  }
-  SiteHealth* sessionHealth() const noexcept override {
-    return parent_->sessionHealth();
-  }
-
- private:
-  void count(std::uint64_t tuples) {
-    if (scope_ == nullptr) return;
-    scope_->recordCall(0, 0);
-    if (tuples != 0) scope_->recordTuples(tuples);
-  }
-
-  SiteHandle* parent_;
-  QueryUsage* scope_;
-};
-
-}  // namespace
-
-std::unique_ptr<SiteHandle> SiteHandle::openSession(QueryUsage* scope) {
-  return std::make_unique<SessionView>(*this, scope);
-}
-
-std::unique_ptr<SiteHandle> SiteHandle::openSession(QueryUsage* scope,
-                                                    const FaultOptions&,
-                                                    SiteHealth*,
-                                                    obs::MetricsRegistry*) {
-  // Default: no transport underneath, so there is nothing to retry.
-  return openSession(scope);
-}
-
 RpcSiteHandle::RpcSiteHandle(SiteId site, std::shared_ptr<ChannelPool> pool,
                              BandwidthMeter* meter, QueryUsage* scope)
     : site_(site),

@@ -74,22 +74,25 @@ class SiteHandle {
   virtual void setTraceSink(obs::QueryTrace* /*sink*/) {}
 
   /// Opens a per-query view of this site whose traffic is additionally
-  /// recorded into `scope` (may be null).  The default implementation wraps
-  /// `*this` and counts round trips and tuples (bytes are transport detail
-  /// it cannot see); RpcSiteHandle returns a clone sharing its channel pool
-  /// that accounts bytes exactly.  The parent handle must outlive the view.
-  virtual std::unique_ptr<SiteHandle> openSession(QueryUsage* scope);
+  /// recorded into `scope` (may be null).  RpcSiteHandle returns a clone
+  /// sharing its channel pool that accounts bytes exactly.  The parent
+  /// handle must outlive the view.  Handles that cannot open sessions
+  /// reject the call.
+  virtual std::unique_ptr<SiteHandle> openSession(QueryUsage* /*scope*/) {
+    throw std::logic_error("SiteHandle: openSession not supported");
+  }
 
   /// Fault-tolerant per-query view: the returned handle applies `fault`
   /// (deadline on every call; retry with backoff around the query-phase
   /// operations prepare / nextCandidate / evaluate / shipAll) and consults
   /// `health` (may be null) as a per-site circuit breaker.  When the retry
   /// budget is exhausted — or the breaker rejects the operation outright —
-  /// the handle throws SiteFailure.  The default implementation ignores the
-  /// fault configuration and delegates to openSession(scope).
+  /// the handle throws SiteFailure.
   virtual std::unique_ptr<SiteHandle> openSession(
-      QueryUsage* scope, const FaultOptions& fault, SiteHealth* health,
-      obs::MetricsRegistry* metrics);
+      QueryUsage* /*scope*/, const FaultOptions& /*fault*/,
+      SiteHealth* /*health*/, obs::MetricsRegistry* /*metrics*/) {
+    throw std::logic_error("SiteHandle: openSession not supported");
+  }
 
   /// Number of transport attempts the last successful query-phase operation
   /// on this handle took (1 = no retries).  Implementations without a retry

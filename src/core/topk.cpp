@@ -24,10 +24,10 @@ namespace dsud {
 QueryResult QueryEngine::topkImpl(const TopKConfig& config,
                                   const QueryOptions& options, QueryId id) {
   if (config.k == 0) {
-    throw std::invalid_argument("runTopK: k must be >= 1");
+    throw std::invalid_argument("top-k: k must be >= 1");
   }
   if (!(config.floorQ > 0.0) || config.floorQ > 1.0) {
-    throw std::invalid_argument("runTopK: floorQ must be in (0, 1]");
+    throw std::invalid_argument("top-k: floorQ must be in (0, 1]");
   }
 
   internal::QueryRun run(*coord_, "topk", options, id);

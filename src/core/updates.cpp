@@ -52,7 +52,7 @@ SkylineMaintainer::SkylineMaintainer(Coordinator& coordinator,
 }
 
 QueryResult SkylineMaintainer::initialize() {
-  QueryResult result = engine_.runEdsud(config_);
+  QueryResult result = engine_.run(Algo::kEdsud, config_);
   sky_.clear();
   for (const GlobalSkylineEntry& e : result.skyline) {
     sky_.emplace(e.tuple.id, e);
@@ -94,7 +94,7 @@ UpdateStats SkylineMaintainer::applyNaive(const UpdateEvent& event) {
         event.site, ApplyDeleteRequest{event.tuple.id, event.tuple.values});
   }
 
-  const QueryResult result = engine_.runEdsud(config_);
+  const QueryResult result = engine_.run(Algo::kEdsud, config_);
   std::unordered_map<TupleId, GlobalSkylineEntry> fresh;
   for (const GlobalSkylineEntry& e : result.skyline) {
     fresh.emplace(e.tuple.id, e);

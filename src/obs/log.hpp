@@ -31,7 +31,11 @@
 #include <string_view>
 #include <vector>
 
-#include "common/log.hpp"  // LogLevel
+namespace dsud {
+
+enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
+
+}  // namespace dsud
 
 namespace dsud::obs {
 

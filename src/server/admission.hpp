@@ -7,10 +7,10 @@
 //      `burst`; an empty bucket sheds immediately with `overloaded` and a
 //      retry-after derived from the refill rate.  Quota violations never
 //      consume cluster capacity.
-//   2. Cluster-health probe — when the configured fraction of site circuit
-//      breakers is open (SiteHealth, fed by the fault layer), new queries
-//      are shed with `unavailable`: admitting them would only burn retry
-//      budgets against dead sites.
+//   2. Cluster-health probe — when the configured fraction of partitions
+//      has every replica's circuit breaker open (SiteHealth, fed by the
+//      fault layer), new queries are shed with `unavailable`: admitting
+//      them would only burn retry budgets against dead sites.
 //   3. Global in-flight cap — at most `maxInFlight` queries execute at
 //      once, counting both this server's own admissions and whatever the
 //      `dsud_queries_inflight` gauges report (so co-located direct engine
@@ -52,8 +52,9 @@ struct AdmissionConfig {
   TenantQuota defaultQuota;
   /// Per-tenant overrides.
   std::map<std::string, TenantQuota> tenants;
-  /// Shed with `unavailable` when at least this fraction of site breakers
-  /// is open (0 < f <= 1; >1 disables the gate).
+  /// Shed with `unavailable` when at least this fraction of partitions is
+  /// open — every replica's breaker open (0 < f <= 1; >1 disables the
+  /// gate).
   double breakerShedFraction = 0.5;
   /// Retry-after hint on capacity sheds (quota sheds compute their own from
   /// the refill rate).
@@ -64,7 +65,7 @@ class AdmissionController {
  public:
   /// Monotonic seconds; injectable so quota tests control refill exactly.
   using Clock = std::function<double()>;
-  /// Fraction of site breakers currently open, in [0, 1].
+  /// Fraction of partitions whose breakers are all open, in [0, 1].
   using BreakerProbe = std::function<double()>;
   /// Queries in flight beyond this controller's own accounting (the
   /// `dsud_queries_inflight` gauges); max()-ed with the internal count.

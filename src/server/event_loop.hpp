@@ -12,6 +12,7 @@
 // thread (and stop() additionally from signal context via the wakeFd).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -97,7 +98,7 @@ class EventLoop {
   int epollFd_ = -1;
   int wakeFd_ = -1;
   bool running_ = false;
-  bool stopRequested_ = false;
+  std::atomic<bool> stopRequested_{false};  ///< written by stop(), any thread
   std::uint32_t nextGen_ = 1;
   std::map<int, Handler> handlers_;
   std::function<void()> wakeHandler_;

@@ -20,6 +20,20 @@ namespace {
 
 const char* const kInflightAlgos[4] = {"naive", "dsud", "edsud", "topk"};
 
+/// A partition's breaker, for admission and /debug/topology alike: that of
+/// its healthiest replica.  The partition is open only when every replica's
+/// breaker is open; while one replica still admits calls, failover serves
+/// the partition.
+SiteHealth::State partitionBreaker(const ReplicaChain& chain) {
+  bool halfOpen = false;
+  for (const SiteHealth* health : chain.health) {
+    const SiteHealth::State state = health->state();
+    if (state == SiteHealth::State::kClosed) return state;
+    halfOpen = halfOpen || state == SiteHealth::State::kHalfOpen;
+  }
+  return halfOpen ? SiteHealth::State::kHalfOpen : SiteHealth::State::kOpen;
+}
+
 }  // namespace
 
 QueryServer::QueryServer(QueryEngine& engine, obs::MetricsRegistry& metrics,
@@ -78,7 +92,7 @@ double QueryServer::breakerOpenFraction() {
   if (view->partitions.empty()) return 0.0;
   std::size_t open = 0;
   for (const ReplicaChain& chain : view->partitions) {
-    if (chain.health[0]->state() == SiteHealth::State::kOpen) ++open;
+    if (partitionBreaker(chain) == SiteHealth::State::kOpen) ++open;
   }
   return static_cast<double>(open) /
          static_cast<double>(view->partitions.size());
@@ -375,7 +389,7 @@ QueryResult QueryServer::executeQuery(const QueryRequest& request,
     config.floorQ = request.q;
     config.mask = request.mask;
     config.window = request.window;
-    return engine_.runTopK(config, options, id);
+    return engine_.run(config, options, id);
   }
   QueryConfig config;
   config.q = request.q;
@@ -387,8 +401,8 @@ QueryResult QueryServer::executeQuery(const QueryRequest& request,
     // synchronous run; answers still stream via options.progress.
     QueryOptions batched = options;
     batched.batching = config_.batching;
-    return engine_.submitBatched(request.algo, std::move(config),
-                                 std::move(batched), id)
+    return engine_.submit(request.algo, std::move(config), std::move(batched),
+                          id)
         .get();
   }
   return engine_.run(request.algo, config, options, id);
@@ -707,7 +721,7 @@ std::string QueryServer::debugTopologyJson() {
     Json entry = Json::object();
     entry.set("partition", chain.partition);
     entry.set("replicas", chain.replicas.size());
-    const SiteHealth::State state = chain.health[0]->state();
+    const SiteHealth::State state = partitionBreaker(chain);
     const char* name = state == SiteHealth::State::kOpen       ? "open"
                        : state == SiteHealth::State::kHalfOpen ? "half_open"
                                                                : "closed";

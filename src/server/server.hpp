@@ -10,7 +10,7 @@
 //     client line ──loop──> decode ──> AdmissionController::submit
 //                                 │
 //             kShed ──loop──> `error` (overloaded/unavailable + retry_after)
-//             kAdmit/kQueue ──> worker: ack, engine.run*(id), answers
+//             kAdmit/kQueue ──> worker: ack, engine.run(id), answers
 //                                 │  (progress callback posts `answer` lines)
 //                                 └──loop──> terminal `done` / `error`
 //

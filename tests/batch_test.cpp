@@ -53,16 +53,16 @@ TEST(BatchTest, ThresholdBandMergesIntoOneDescentBitIdentically) {
   q03.q = 0.3;
   q04.q = 0.4;
   q05.q = 0.5;
-  const QueryResult ref03 = reference.engine().runEdsud(q03);
-  const QueryResult ref04 = reference.engine().runEdsud(q04);
-  const QueryResult ref05 = reference.engine().runEdsud(q05);
+  const QueryResult ref03 = reference.engine().run(Algo::kEdsud, q03);
+  const QueryResult ref04 = reference.engine().run(Algo::kEdsud, q04);
+  const QueryResult ref05 = reference.engine().run(Algo::kEdsud, q05);
 
   QueryEngine engine(shared.coordinator(), 4);
   // Submission order deliberately tightest-first: the leader threshold is
   // min over members, not the first member's.
-  QueryTicket t05 = engine.submitBatched(Algo::kEdsud, q05, batched());
-  QueryTicket t03 = engine.submitBatched(Algo::kEdsud, q03, batched());
-  QueryTicket t04 = engine.submitBatched(Algo::kEdsud, q04, batched());
+  QueryTicket t05 = engine.submit(Algo::kEdsud, q05, batched());
+  QueryTicket t03 = engine.submit(Algo::kEdsud, q03, batched());
+  QueryTicket t04 = engine.submit(Algo::kEdsud, q04, batched());
 
   const QueryResult got05 = t05.get();
   const QueryResult got03 = t03.get();
@@ -95,14 +95,14 @@ TEST(BatchTest, IncompatibleQueriesFormSeparateGroups) {
   QueryConfig subspace;
   subspace.q = 0.3;
   subspace.mask = 0b011;
-  const QueryResult refEdsud = reference.engine().runEdsud(full);
-  const QueryResult refDsud = reference.engine().runDsud(full);
-  const QueryResult refSub = reference.engine().runEdsud(subspace);
+  const QueryResult refEdsud = reference.engine().run(Algo::kEdsud, full);
+  const QueryResult refDsud = reference.engine().run(Algo::kDsud, full);
+  const QueryResult refSub = reference.engine().run(Algo::kEdsud, subspace);
 
   QueryEngine engine(shared.coordinator(), 4);
-  QueryTicket a = engine.submitBatched(Algo::kEdsud, full, batched());
-  QueryTicket b = engine.submitBatched(Algo::kDsud, full, batched());
-  QueryTicket c = engine.submitBatched(Algo::kEdsud, subspace, batched());
+  QueryTicket a = engine.submit(Algo::kEdsud, full, batched());
+  QueryTicket b = engine.submit(Algo::kDsud, full, batched());
+  QueryTicket c = engine.submit(Algo::kEdsud, subspace, batched());
 
   expectSameAnswer(a.get(), refEdsud);
   expectSameAnswer(b.get(), refDsud);
@@ -132,8 +132,8 @@ TEST(BatchTest, ProgressStreamsSplitPerMember) {
   };
 
   QueryEngine engine(shared.coordinator(), 4);
-  QueryTicket loose = engine.submitBatched(Algo::kEdsud, q02, optLoose);
-  QueryTicket tight = engine.submitBatched(Algo::kEdsud, q06, optTight);
+  QueryTicket loose = engine.submit(Algo::kEdsud, q02, optLoose);
+  QueryTicket tight = engine.submit(Algo::kEdsud, q06, optTight);
   const QueryResult looseResult = loose.get();
   const QueryResult tightResult = tight.get();
 
@@ -165,15 +165,15 @@ TEST(BatchTest, SiteFailureDegradesEveryMemberIdentically) {
   QueryConfig q03, q05;
   q03.q = 0.3;
   q05.q = 0.5;
-  const QueryResult ref03 = reference.engine().runEdsud(q03, degrade);
-  const QueryResult ref05 = reference.engine().runEdsud(q05, degrade);
+  const QueryResult ref03 = reference.engine().run(Algo::kEdsud, q03, degrade);
+  const QueryResult ref05 = reference.engine().run(Algo::kEdsud, q05, degrade);
   ASSERT_TRUE(ref03.degraded);
 
   QueryOptions batchedDegrade = batched();
   batchedDegrade.fault.onSiteFailure = OnSiteFailure::kDegrade;
   QueryEngine engine(shared.coordinator(), 4);
-  QueryTicket t03 = engine.submitBatched(Algo::kEdsud, q03, batchedDegrade);
-  QueryTicket t05 = engine.submitBatched(Algo::kEdsud, q05, batchedDegrade);
+  QueryTicket t03 = engine.submit(Algo::kEdsud, q03, batchedDegrade);
+  QueryTicket t05 = engine.submit(Algo::kEdsud, q05, batchedDegrade);
   const QueryResult got03 = t03.get();
   const QueryResult got05 = t05.get();
 
@@ -195,15 +195,15 @@ TEST(BatchTest, MixedFaultHandlingNeverShares) {
 
   QueryConfig config;
   config.q = 0.3;
-  const QueryResult ref = reference.engine().runEdsud(config);
+  const QueryResult ref = reference.engine().run(Algo::kEdsud, config);
 
   QueryOptions failFast = batched();
   QueryOptions degrade = batched();
   degrade.fault.onSiteFailure = OnSiteFailure::kDegrade;
 
   QueryEngine engine(shared.coordinator(), 4);
-  QueryTicket a = engine.submitBatched(Algo::kEdsud, config, failFast);
-  QueryTicket b = engine.submitBatched(Algo::kEdsud, config, degrade);
+  QueryTicket a = engine.submit(Algo::kEdsud, config, failFast);
+  QueryTicket b = engine.submit(Algo::kEdsud, config, degrade);
   expectSameAnswer(a.get(), ref);
   expectSameAnswer(b.get(), ref);
   // Healthy cluster: both complete clean, but in two groups.
@@ -221,15 +221,15 @@ TEST(BatchTest, CancelledMemberDoesNotPoisonItsGroup) {
   q05.q = 0.5;
   // The cancelled member is the loosest: the group must re-derive its
   // leader threshold from the survivors, not run at 0.3 anyway.
-  const QueryResult ref05 = reference.engine().runEdsud(q05);
+  const QueryResult ref05 = reference.engine().run(Algo::kEdsud, q05);
 
   QueryOptions doomed = batched(0.2);
   doomed.cancel = std::make_shared<std::atomic<bool>>(true);
   QueryOptions healthy = batched(0.2);
 
   QueryEngine engine(shared.coordinator(), 4);
-  QueryTicket cancelled = engine.submitBatched(Algo::kEdsud, q03, doomed);
-  QueryTicket fine = engine.submitBatched(Algo::kEdsud, q05, healthy);
+  QueryTicket cancelled = engine.submit(Algo::kEdsud, q03, doomed);
+  QueryTicket fine = engine.submit(Algo::kEdsud, q05, healthy);
 
   EXPECT_THROW(cancelled.get(), QueryCancelled);
   expectSameAnswer(fine.get(), ref05);
@@ -244,14 +244,14 @@ TEST(BatchTest, EngineTeardownFlushesParkedGroups) {
 
   QueryConfig config;
   config.q = 0.3;
-  const QueryResult ref = reference.engine().runEdsud(config);
+  const QueryResult ref = reference.engine().run(Algo::kEdsud, config);
 
   QueryTicket ticket;
   {
     QueryEngine engine(shared.coordinator(), 2);
     // A window far longer than the engine's lifetime: destruction must
     // flush the parked group, not strand the ticket.
-    ticket = engine.submitBatched(Algo::kEdsud, config, batched(30.0));
+    ticket = engine.submit(Algo::kEdsud, config, batched(30.0));
   }
   expectSameAnswer(ticket.get(), ref);
 }
@@ -264,13 +264,13 @@ TEST(BatchTest, FullGroupFlushesBeforeTheWindowCloses) {
 
   QueryConfig config;
   config.q = 0.3;
-  const QueryResult ref = reference.engine().runEdsud(config);
+  const QueryResult ref = reference.engine().run(Algo::kEdsud, config);
 
   QueryOptions options = batched(30.0);  // would park ~forever...
   options.batching.maxMerge = 2;         // ...but fills after two members
   QueryEngine engine(shared.coordinator(), 4);
-  QueryTicket a = engine.submitBatched(Algo::kEdsud, config, options);
-  QueryTicket b = engine.submitBatched(Algo::kEdsud, config, options);
+  QueryTicket a = engine.submit(Algo::kEdsud, config, options);
+  QueryTicket b = engine.submit(Algo::kEdsud, config, options);
   expectSameAnswer(a.get(), ref);
   expectSameAnswer(b.get(), ref);
 }
@@ -290,8 +290,8 @@ TEST(BatchTest, CacheHitResolvesAWholeGroup) {
 
   // The leader runs through the cache-aware dispatch: a whole batched
   // group lands on the stored answer, no descent at all.
-  QueryTicket a = engine.submitBatched(Algo::kEdsud, config, batched());
-  QueryTicket b = engine.submitBatched(Algo::kEdsud, config, batched());
+  QueryTicket a = engine.submit(Algo::kEdsud, config, batched());
+  QueryTicket b = engine.submit(Algo::kEdsud, config, batched());
   const QueryResult gotA = a.get();
   const QueryResult gotB = b.get();
   expectSameAnswer(gotA, warm);

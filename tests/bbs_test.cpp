@@ -68,8 +68,8 @@ INSTANTIATE_TEST_SUITE_P(
         BbsCase{2000, 3, ValueDistribution::kAnticorrelated, 0.5, 29}),
     [](const ::testing::TestParamInfo<BbsCase>& info) {
       const BbsCase& c = info.param;
-      return "n" + std::to_string(c.n) + "_d" + std::to_string(c.dims) + "_" +
-             distributionName(c.dist) + "_q" +
+      return std::string("n").append(std::to_string(c.n)) + "_d" +
+             std::to_string(c.dims) + "_" + distributionName(c.dist) + "_q" +
              std::to_string(static_cast<int>(c.q * 10));
     });
 

@@ -144,7 +144,10 @@ TEST(ReplayCacheTest, RepeatedNextCandidateSeqDoesNotAdvanceCursor) {
   db.add(Tuple(1, {1.0, 9.0}, 0.9));
   db.add(Tuple(2, {9.0, 1.0}, 0.8));
   LocalSite site(0, db);
-  site.prepare(PrepareRequest{.query = 7, .q = 0.1});
+  PrepareRequest prepare;
+  prepare.query = 7;
+  prepare.q = 0.1;
+  site.prepare(prepare);
 
   const auto first = site.nextCandidate(NextCandidateRequest{7, 1});
   ASSERT_TRUE(first.candidate.has_value());
@@ -170,8 +173,11 @@ TEST(ReplayCacheTest, RepeatedEvaluateSeqDoesNotFoldSurvivalTwice) {
   Dataset db(2);
   db.add(Tuple(1, {5.0, 5.0}, 0.9));
   LocalSite site(0, db);
-  site.prepare(PrepareRequest{.query = 9, .q = 0.3,
-                              .prune = PruneRule::kThresholdBound});
+  PrepareRequest prepare;
+  prepare.query = 9;
+  prepare.q = 0.3;
+  prepare.prune = PruneRule::kThresholdBound;
+  site.prepare(prepare);
   ASSERT_EQ(site.pendingCount(9), 1u);
 
   // External dominator with P = 0.6: one fold leaves the pending entry's
@@ -411,7 +417,8 @@ TEST(ChaosTest, KilledSiteUnderFailPolicyThrowsSiteFailure) {
   InProcCluster cluster(Topology::fromPartitions(siteData), chaotic);
 
   try {
-    cluster.engine().runDsud(QueryConfig{});  // default: OnSiteFailure::kFail
+    // Default options: OnSiteFailure::kFail.
+    cluster.engine().run(Algo::kDsud, QueryConfig{});
     FAIL() << "a dead site under kFail must abort the query";
   } catch (const SiteFailure& failure) {
     EXPECT_EQ(failure.site(), 2u);
@@ -440,9 +447,9 @@ TEST(ChaosTest, NaiveDegradesOverSurvivors) {
 
   QueryOptions degrade;
   degrade.fault.onSiteFailure = OnSiteFailure::kDegrade;
-  const QueryResult degraded = cluster.engine().runNaive(QueryConfig{},
-                                                         degrade);
-  const QueryResult ref = reference.engine().runNaive(QueryConfig{});
+  const QueryResult degraded =
+      cluster.engine().run(Algo::kNaive, QueryConfig{}, degrade);
+  const QueryResult ref = reference.engine().run(Algo::kNaive, QueryConfig{});
 
   EXPECT_TRUE(degraded.degraded);
   ASSERT_EQ(degraded.excludedSites, std::vector<SiteId>{1});
@@ -507,7 +514,7 @@ TEST(ChaosTest, KilledMemberMidRepartitionRecoversFromReplicas) {
   QueryOptions fast;
   fast.fault.retry.initialBackoff = std::chrono::milliseconds{0};
   const QueryResult firstQuery =
-      cluster.engine().runEdsud(QueryConfig{}, fast);
+      cluster.engine().run(Algo::kEdsud, QueryConfig{}, fast);
   EXPECT_FALSE(firstQuery.degraded);
   EXPECT_TRUE(cluster.chaos(1)->killed());
 
@@ -553,8 +560,8 @@ TEST(ChaosTest, PersistentlyDeadSiteTripsBreakerAcrossQueries) {
   // site without spending its retry budget (SiteFailure::attempts == 0
   // internally — surfaced here as an instant degrade).
   for (int i = 0; i < 4; ++i) {
-    const QueryResult result = cluster.engine().runEdsud(QueryConfig{},
-                                                         degrade);
+    const QueryResult result =
+        cluster.engine().run(Algo::kEdsud, QueryConfig{}, degrade);
     EXPECT_TRUE(result.degraded);
     ASSERT_EQ(result.excludedSites, std::vector<SiteId>{0});
   }

@@ -87,7 +87,7 @@ TEST(ClusterTest, MeterSeesEveryByteOfEveryCall) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{500, 2, ValueDistribution::kIndependent, 98});
   InProcCluster cluster(Topology::uniform(global, 4, 99));
-  const QueryResult result = cluster.engine().runEdsud(QueryConfig{});
+  const QueryResult result = cluster.engine().run(Algo::kEdsud, QueryConfig{});
   const UsageTotals totals = cluster.meter().totals();
   EXPECT_EQ(totals.tuples, result.stats.tuplesShipped);
   EXPECT_EQ(totals.bytes, result.stats.bytesShipped);
@@ -99,8 +99,8 @@ TEST(ClusterTest, BackToBackQueriesUseMeterDeltas) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{500, 2, ValueDistribution::kIndependent, 100});
   InProcCluster cluster(Topology::uniform(global, 4, 101));
-  const QueryResult first = cluster.engine().runEdsud(QueryConfig{});
-  const QueryResult second = cluster.engine().runEdsud(QueryConfig{});
+  const QueryResult first = cluster.engine().run(Algo::kEdsud, QueryConfig{});
+  const QueryResult second = cluster.engine().run(Algo::kEdsud, QueryConfig{});
   // The shared meter keeps accumulating, but per-query stats are deltas.
   EXPECT_EQ(first.stats.tuplesShipped, second.stats.tuplesShipped);
   EXPECT_EQ(cluster.meter().totals().tuples,

@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <thread>
 
-#include "common/log.hpp"
 #include "common/options.hpp"
 #include "common/stopwatch.hpp"
 #include "core/result.hpp"
@@ -98,20 +97,6 @@ TEST(StopwatchTest, RestartResets) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   watch.restart();
   EXPECT_LT(watch.elapsedMillis(), 15.0);
-}
-
-// ---------------------------------------------------------------------------
-// Logging
-
-TEST(LogTest, LevelGatesOutput) {
-  const LogLevel before = logLevel();
-  setLogLevel(LogLevel::kError);
-  EXPECT_EQ(logLevel(), LogLevel::kError);
-  // These must not crash; output (if any) goes to stderr.
-  logMessage(LogLevel::kDebug, "suppressed");
-  DSUD_LOG(kInfo) << "suppressed " << 42;
-  DSUD_LOG(kError) << "emitted";
-  setLogLevel(before);
 }
 
 // ---------------------------------------------------------------------------

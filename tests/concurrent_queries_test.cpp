@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -84,26 +85,33 @@ TEST(ConcurrentQueriesTest, MixedSubmitsMatchSequentialBitForBit) {
 
   // One session at a time on an identical cluster: the ground truth for
   // answers, stats, and timelines.
-  const QueryResult refNaive = reference.engine().runNaive(q03);
-  const QueryResult refDsud = reference.engine().runDsud(q03);
-  const QueryResult refEdsud = reference.engine().runEdsud(q03);
-  const QueryResult refEdsud5 = reference.engine().runEdsud(q05);
-  const QueryResult refTopK = reference.engine().runTopK(topk);
+  const QueryResult refNaive = reference.engine().run(Algo::kNaive, q03);
+  const QueryResult refDsud = reference.engine().run(Algo::kDsud, q03);
+  const QueryResult refEdsud = reference.engine().run(Algo::kEdsud, q03);
+  const QueryResult refEdsud5 = reference.engine().run(Algo::kEdsud, q05);
+  const QueryResult refTopK = reference.engine().run(topk);
 
-  // Five mixed sessions in flight at once over the shared sites.  A wide
-  // pool guarantees they genuinely overlap even on small machines.
-  QueryEngine engine(shared.coordinator(), 5);
-  QueryTicket tickets[5] = {
-      engine.submit(Algo::kNaive, q03),   engine.submit(Algo::kDsud, q03),
-      engine.submit(Algo::kEdsud, q03),   engine.submit(Algo::kEdsud, q05),
-      engine.submitTopK(topk),
+  // Five mixed sessions in flight at once over the shared sites: four on a
+  // pool wide enough that they genuinely overlap even on small machines,
+  // and a top-k run on its own thread under an id allocated up front.
+  QueryEngine engine(shared.coordinator(), 4);
+  const QueryId topkId = shared.coordinator().nextQueryId();
+  std::future<QueryResult> topkRun = std::async(
+      std::launch::async, [&] { return engine.run(topk, {}, topkId); });
+  QueryTicket tickets[4] = {
+      engine.submit(Algo::kNaive, q03),
+      engine.submit(Algo::kDsud, q03),
+      engine.submit(Algo::kEdsud, q03),
+      engine.submit(Algo::kEdsud, q05),
   };
 
   // Session ids are allocated up front and unique.
+  const QueryId ids[5] = {tickets[0].id(), tickets[1].id(), tickets[2].id(),
+                          tickets[3].id(), topkId};
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_NE(tickets[i].id(), kNoQuery);
+    EXPECT_NE(ids[i], kNoQuery);
     for (std::size_t j = i + 1; j < 5; ++j) {
-      EXPECT_NE(tickets[i].id(), tickets[j].id());
+      EXPECT_NE(ids[i], ids[j]);
     }
   }
 
@@ -111,7 +119,7 @@ TEST(ConcurrentQueriesTest, MixedSubmitsMatchSequentialBitForBit) {
   const QueryResult dsud = tickets[1].get();
   const QueryResult edsud = tickets[2].get();
   const QueryResult edsud5 = tickets[3].get();
-  const QueryResult topkResult = tickets[4].get();
+  const QueryResult topkResult = topkRun.get();
 
   expectSameRun(naive, refNaive);
   expectSameRun(dsud, refDsud);
@@ -121,7 +129,7 @@ TEST(ConcurrentQueriesTest, MixedSubmitsMatchSequentialBitForBit) {
 
   // Each result is stamped with its own session id.
   EXPECT_EQ(naive.id, tickets[0].id());
-  EXPECT_EQ(topkResult.id, tickets[4].id());
+  EXPECT_EQ(topkResult.id, topkId);
 
   EXPECT_EQ(engine.inFlight(), 0u);
   expectIdle(shared);
@@ -136,8 +144,8 @@ TEST(ConcurrentQueriesTest, ThreadsHammeringOneClusterSeeNoBleed) {
   QueryConfig config;
   TopKConfig topk;
   topk.k = 5;
-  const QueryResult refEdsud = reference.engine().runEdsud(config);
-  const QueryResult refTopK = reference.engine().runTopK(topk);
+  const QueryResult refEdsud = reference.engine().run(Algo::kEdsud, config);
+  const QueryResult refTopK = reference.engine().run(topk);
 
   // 4 threads x 3 iterations of synchronous runs through the shared engine;
   // every single run must be indistinguishable from running alone.
@@ -146,9 +154,9 @@ TEST(ConcurrentQueriesTest, ThreadsHammeringOneClusterSeeNoBleed) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 3; ++i) {
         if ((t + i) % 2 == 0) {
-          expectSameRun(shared.engine().runEdsud(config), refEdsud);
+          expectSameRun(shared.engine().run(Algo::kEdsud, config), refEdsud);
         } else {
-          expectSameRun(shared.engine().runTopK(topk), refTopK);
+          expectSameRun(shared.engine().run(topk), refTopK);
         }
       }
     });
@@ -171,8 +179,8 @@ TEST(ConcurrentQueriesTest, PerQueryOptionsStayPerQuery) {
   QueryOptions silent;
   silent.traceCapacity = 0;
 
-  const QueryResult refA = reference.engine().runEdsud(config, traced);
-  const QueryResult refB = reference.engine().runEdsud(config, silent);
+  const QueryResult refA = reference.engine().run(Algo::kEdsud, config, traced);
+  const QueryResult refB = reference.engine().run(Algo::kEdsud, config, silent);
 
   QueryTicket a = shared.engine().submit(Algo::kEdsud, config, traced);
   QueryTicket b = shared.engine().submit(Algo::kEdsud, config, silent);
@@ -210,10 +218,10 @@ TEST(ConcurrentQueriesTest, OneOfFiveDegradesWhileTheRestStayBitIdentical) {
   InProcCluster survivors(Topology::fromPartitions(survivorData));
 
   QueryConfig config;
-  const QueryResult refDsud = reference.engine().runDsud(config);
-  const QueryResult refEdsud = reference.engine().runEdsud(config);
-  const QueryResult refNaive = reference.engine().runNaive(config);
-  const QueryResult refDegraded = survivors.engine().runEdsud(config);
+  const QueryResult refDsud = reference.engine().run(Algo::kDsud, config);
+  const QueryResult refEdsud = reference.engine().run(Algo::kEdsud, config);
+  const QueryResult refNaive = reference.engine().run(Algo::kNaive, config);
+  const QueryResult refDegraded = survivors.engine().run(Algo::kEdsud, config);
 
   QueryOptions degrade;
   degrade.fault.onSiteFailure = OnSiteFailure::kDegrade;
@@ -270,7 +278,7 @@ TEST(ConcurrentQueriesTest, OneOfFiveDegradesWhileTheRestStayBitIdentical) {
 }
 
 TEST(ConcurrentQueriesTest, BatchedSubmitsMatchSoloRunsBitForBit) {
-  // The shared-work path (submitBatched) merges a threshold band into one
+  // The shared-work path (a batched submit) merges a threshold band into one
   // descent; every member's answer must still be bit-identical to the same
   // query run alone — content, order, and probabilities.
   const Dataset global = generateSynthetic(
@@ -282,18 +290,18 @@ TEST(ConcurrentQueriesTest, BatchedSubmitsMatchSoloRunsBitForBit) {
   q03.q = 0.3;
   q05.q = 0.5;
   q07.q = 0.7;
-  const QueryResult ref03 = reference.engine().runEdsud(q03);
-  const QueryResult ref05 = reference.engine().runEdsud(q05);
-  const QueryResult ref07 = reference.engine().runEdsud(q07);
+  const QueryResult ref03 = reference.engine().run(Algo::kEdsud, q03);
+  const QueryResult ref05 = reference.engine().run(Algo::kEdsud, q05);
+  const QueryResult ref07 = reference.engine().run(Algo::kEdsud, q07);
 
   QueryOptions batching;
   batching.batching.enabled = true;
   batching.batching.windowSeconds = 0.05;
 
   QueryEngine engine(shared.coordinator(), 4);
-  QueryTicket t07 = engine.submitBatched(Algo::kEdsud, q07, batching);
-  QueryTicket t03 = engine.submitBatched(Algo::kEdsud, q03, batching);
-  QueryTicket t05 = engine.submitBatched(Algo::kEdsud, q05, batching);
+  QueryTicket t07 = engine.submit(Algo::kEdsud, q07, batching);
+  QueryTicket t03 = engine.submit(Algo::kEdsud, q03, batching);
+  QueryTicket t05 = engine.submit(Algo::kEdsud, q05, batching);
 
   const QueryResult got07 = t07.get();
   const QueryResult got03 = t03.get();

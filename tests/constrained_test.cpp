@@ -90,9 +90,9 @@ TEST_P(ConstrainedDistributedTest, AllAlgorithmsMatchFilteredGroundTruth) {
   const auto expected =
       linearSkyline(global, {.q = config.q, .clip = &*config.window});
 
-  for (QueryResult result : {cluster.engine().runNaive(config),
-                             cluster.engine().runDsud(config),
-                             cluster.engine().runEdsud(config)}) {
+  for (QueryResult result : {cluster.engine().run(Algo::kNaive, config),
+                             cluster.engine().run(Algo::kDsud, config),
+                             cluster.engine().run(Algo::kEdsud, config)}) {
     sortByGlobalProbability(result.skyline);
     ASSERT_EQ(result.skyline.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -131,8 +131,8 @@ TEST(ConstrainedTest, FullSpaceWindowEqualsUnconstrained) {
   QueryConfig windowed;
   windowed.window = makeWindow({-1.0, -1.0}, {2.0, 2.0});
 
-  QueryResult a = cluster.engine().runEdsud(unconstrained);
-  QueryResult b = cluster.engine().runEdsud(windowed);
+  QueryResult a = cluster.engine().run(Algo::kEdsud, unconstrained);
+  QueryResult b = cluster.engine().run(Algo::kEdsud, windowed);
   sortByGlobalProbability(a.skyline);
   sortByGlobalProbability(b.skyline);
   EXPECT_EQ(testutil::idsOf(a.skyline), testutil::idsOf(b.skyline));
@@ -149,8 +149,8 @@ TEST(ConstrainedTest, TightWindowIsCheap) {
   QueryConfig tight;
   tight.window = makeWindow({0.45, 0.45}, {0.55, 0.55});
 
-  const QueryResult a = cluster.engine().runEdsud(full);
-  const QueryResult b = cluster.engine().runEdsud(tight);
+  const QueryResult a = cluster.engine().run(Algo::kEdsud, full);
+  const QueryResult b = cluster.engine().run(Algo::kEdsud, tight);
   EXPECT_LT(b.stats.tuplesShipped, a.stats.tuplesShipped);
 }
 
@@ -169,7 +169,7 @@ TEST(ConstrainedTest, SubspaceAndWindowCompose) {
   config.window = window;
 
   const auto expected = linearSkyline(global, {.mask = config.mask, .q = config.q, .clip = &window});
-  QueryResult result = cluster.engine().runEdsud(config);
+  QueryResult result = cluster.engine().run(Algo::kEdsud, config);
   sortByGlobalProbability(result.skyline);
   EXPECT_EQ(testutil::idsOf(result.skyline), testutil::idsOf(expected));
 }

@@ -128,7 +128,7 @@ TEST(ContinuousTest, PerEventCostIsFarBelowRequery) {
                                       setup.windows);
 
   // Cost of one full re-query on the same cluster state.
-  const QueryResult requery = cluster.engine().runEdsud(config);
+  const QueryResult requery = cluster.engine().run(Algo::kEdsud, config);
 
   Rng rng(806);
   TupleId next = 200000;

@@ -47,13 +47,13 @@ TEST_P(DistributedParamTest, AllAlgorithmsMatchCentralisedAnswer) {
   QueryConfig config;
   config.q = c.q;
 
-  const QueryResult naive = cluster.engine().runNaive(config);
+  const QueryResult naive = cluster.engine().run(Algo::kNaive, config);
   expectMatchesGroundTruth(naive, global, c.q);
 
-  const QueryResult dsud = cluster.engine().runDsud(config);
+  const QueryResult dsud = cluster.engine().run(Algo::kDsud, config);
   expectMatchesGroundTruth(dsud, global, c.q);
 
-  const QueryResult edsud = cluster.engine().runEdsud(config);
+  const QueryResult edsud = cluster.engine().run(Algo::kEdsud, config);
   expectMatchesGroundTruth(edsud, global, c.q);
 }
 
@@ -72,8 +72,9 @@ INSTANTIATE_TEST_SUITE_P(
         DistCase{300, 64, 2, ValueDistribution::kIndependent, 0.3, 10}),
     [](const ::testing::TestParamInfo<DistCase>& info) {
       const DistCase& c = info.param;
-      return "n" + std::to_string(c.n) + "_m" + std::to_string(c.m) + "_d" +
-             std::to_string(c.dims) + "_" + distributionName(c.dist) + "_q" +
+      return std::string("n").append(std::to_string(c.n)) + "_m" +
+             std::to_string(c.m) + "_d" + std::to_string(c.dims) + "_" +
+             distributionName(c.dist) + "_q" +
              std::to_string(static_cast<int>(c.q * 10)) + "_s" +
              std::to_string(c.seed);
     });
@@ -82,7 +83,7 @@ TEST(DsudTest, NaiveBandwidthEqualsDatabaseSize) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{400, 2, ValueDistribution::kIndependent, 11});
   InProcCluster cluster(Topology::uniform(global, 4, 12));
-  const QueryResult result = cluster.engine().runNaive(QueryConfig{});
+  const QueryResult result = cluster.engine().run(Algo::kNaive, QueryConfig{});
   // The baseline ships |D| tuples, nothing else (paper Sec. 3.2).
   EXPECT_EQ(result.stats.tuplesShipped, global.size());
 }
@@ -91,8 +92,8 @@ TEST(DsudTest, DsudShipsFarLessThanNaive) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{5000, 2, ValueDistribution::kIndependent, 13});
   InProcCluster cluster(Topology::uniform(global, 10, 14));
-  const QueryResult naive = cluster.engine().runNaive(QueryConfig{});
-  const QueryResult dsud = cluster.engine().runDsud(QueryConfig{});
+  const QueryResult naive = cluster.engine().run(Algo::kNaive, QueryConfig{});
+  const QueryResult dsud = cluster.engine().run(Algo::kDsud, QueryConfig{});
   EXPECT_LT(dsud.stats.tuplesShipped, naive.stats.tuplesShipped / 2);
 }
 
@@ -100,7 +101,7 @@ TEST(DsudTest, ProgressPointsAreMonotone) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{2000, 3, ValueDistribution::kAnticorrelated, 15});
   InProcCluster cluster(Topology::uniform(global, 8, 16));
-  const QueryResult result = cluster.engine().runDsud(QueryConfig{});
+  const QueryResult result = cluster.engine().run(Algo::kDsud, QueryConfig{});
   ASSERT_EQ(result.progress.size(), result.skyline.size());
   for (std::size_t i = 1; i < result.progress.size(); ++i) {
     EXPECT_EQ(result.progress[i].reported, i + 1);
@@ -127,7 +128,8 @@ TEST(DsudTest, ProgressCallbackFiresPerAnswer) {
         EXPECT_EQ(point.reported, calls);
         EXPECT_GE(entry.globalSkyProb, 0.3);
       };
-  const QueryResult result = cluster.engine().runDsud(QueryConfig{}, options);
+  const QueryResult result =
+      cluster.engine().run(Algo::kDsud, QueryConfig{}, options);
   EXPECT_EQ(calls, result.skyline.size());
 }
 
@@ -135,7 +137,7 @@ TEST(DsudTest, StatsCountersAreConsistent) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{1500, 2, ValueDistribution::kIndependent, 19});
   InProcCluster cluster(Topology::uniform(global, 6, 20));
-  const QueryResult result = cluster.engine().runDsud(QueryConfig{});
+  const QueryResult result = cluster.engine().run(Algo::kDsud, QueryConfig{});
   // DSUD broadcasts every pulled candidate; each broadcast ships m-1 tuples.
   EXPECT_EQ(result.stats.broadcasts, result.stats.candidatesPulled);
   EXPECT_EQ(result.stats.tuplesShipped,
@@ -150,7 +152,7 @@ TEST(DsudTest, LocalPruningReducesCandidatePulls) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{4000, 2, ValueDistribution::kIndependent, 21});
   InProcCluster cluster(Topology::uniform(global, 8, 22));
-  const QueryResult result = cluster.engine().runDsud(QueryConfig{});
+  const QueryResult result = cluster.engine().run(Algo::kDsud, QueryConfig{});
   // Total local skyline size: what would ship without any pruning.
   std::size_t totalLocalSkyline = result.stats.prunedAtSites;
   totalLocalSkyline += result.stats.candidatesPulled;
@@ -163,8 +165,8 @@ TEST(DsudTest, RepeatedQueriesAreDeterministic) {
       SyntheticSpec{800, 3, ValueDistribution::kIndependent, 23});
   InProcCluster clusterA(Topology::uniform(global, 7, 24));
   InProcCluster clusterB(Topology::uniform(global, 7, 24));
-  const QueryResult a = clusterA.engine().runDsud(QueryConfig{});
-  const QueryResult b = clusterB.engine().runDsud(QueryConfig{});
+  const QueryResult a = clusterA.engine().run(Algo::kDsud, QueryConfig{});
+  const QueryResult b = clusterB.engine().run(Algo::kDsud, QueryConfig{});
   EXPECT_EQ(testutil::idsOf(a.skyline), testutil::idsOf(b.skyline));
   EXPECT_EQ(a.stats.tuplesShipped, b.stats.tuplesShipped);
 }
@@ -178,7 +180,7 @@ TEST(DsudTest, ThresholdMonotonicityDistributed) {
   for (double q : {0.3, 0.5, 0.7, 0.9}) {
     QueryConfig config;
     config.q = q;
-    const QueryResult result = cluster.engine().runDsud(config);
+    const QueryResult result = cluster.engine().run(Algo::kDsud, config);
     bandwidth.push_back(result.stats.tuplesShipped);
     sizes.push_back(result.skyline.size());
   }

@@ -19,8 +19,8 @@ TEST(EdsudTest, BeatsDsudBandwidthOnTypicalWorkloads) {
     const Dataset global = generateSynthetic(
         SyntheticSpec{4000, 3, ValueDistribution::kIndependent, seed});
     InProcCluster cluster(Topology::uniform(global, 12, seed + 100));
-    const QueryResult dsud = cluster.engine().runDsud(QueryConfig{});
-    const QueryResult edsud = cluster.engine().runEdsud(QueryConfig{});
+    const QueryResult dsud = cluster.engine().run(Algo::kDsud, QueryConfig{});
+    const QueryResult edsud = cluster.engine().run(Algo::kEdsud, QueryConfig{});
     EXPECT_EQ(testutil::idsOf(dsud.skyline).size(),
               testutil::idsOf(edsud.skyline).size());
     dsudTotal += dsud.stats.tuplesShipped;
@@ -35,7 +35,7 @@ TEST(EdsudTest, ExpungesCandidatesWithoutBroadcast) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{4000, 3, ValueDistribution::kIndependent, 47});
   InProcCluster cluster(Topology::uniform(global, 12, 48));
-  const QueryResult result = cluster.engine().runEdsud(QueryConfig{});
+  const QueryResult result = cluster.engine().run(Algo::kEdsud, QueryConfig{});
   EXPECT_GT(result.stats.expunged, 0u);
   // Every pulled candidate is either broadcast or expunged.
   EXPECT_EQ(result.stats.candidatesPulled,
@@ -46,7 +46,7 @@ TEST(EdsudTest, BandwidthDecomposition) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{2000, 2, ValueDistribution::kAnticorrelated, 49});
   InProcCluster cluster(Topology::uniform(global, 8, 50));
-  const QueryResult result = cluster.engine().runEdsud(QueryConfig{});
+  const QueryResult result = cluster.engine().run(Algo::kEdsud, QueryConfig{});
   EXPECT_EQ(result.stats.tuplesShipped,
             result.stats.candidatesPulled +
                 result.stats.broadcasts * (cluster.siteCount() - 1));
@@ -65,7 +65,7 @@ TEST(EdsudTest, FeedbackBoundAblationAllCorrect) {
         FeedbackBound::kQueuedAndConfirmed}) {
     QueryConfig config;
     config.bound = bound;
-    QueryResult result = cluster.engine().runEdsud(config);
+    QueryResult result = cluster.engine().run(Algo::kEdsud, config);
     sortByGlobalProbability(result.skyline);
     auto ids = testutil::idsOf(result.skyline);
     std::sort(ids.begin(), ids.end());
@@ -88,7 +88,7 @@ TEST(EdsudTest, BothExpungePoliciesReturnExactAnswers) {
        {ExpungePolicy::kEager, ExpungePolicy::kPark}) {
     QueryConfig config;
     config.expunge = policy;
-    QueryResult result = cluster.engine().runEdsud(config);
+    QueryResult result = cluster.engine().run(Algo::kEdsud, config);
     sortByGlobalProbability(result.skyline);
     EXPECT_EQ(testutil::idsOf(result.skyline), expected)
         << "policy=" << static_cast<int>(policy);
@@ -126,7 +126,7 @@ TEST(EdsudTest, PaperDominancePruneCanLoseQualifiedAnswers) {
   {
     InProcCluster cluster(Topology::fromPartitions(sites));
     config.prune = PruneRule::kThresholdBound;
-    const QueryResult exact = cluster.engine().runEdsud(config);
+    const QueryResult exact = cluster.engine().run(Algo::kEdsud, config);
     auto ids = testutil::idsOf(exact.skyline);
     std::sort(ids.begin(), ids.end());
     EXPECT_EQ(ids, testutil::idsOf(testutil::groundTruth(sites, config.q)));
@@ -137,7 +137,7 @@ TEST(EdsudTest, PaperDominancePruneCanLoseQualifiedAnswers) {
   {
     InProcCluster cluster(Topology::fromPartitions(sites));
     config.prune = PruneRule::kDominance;
-    const QueryResult lossy = cluster.engine().runEdsud(config);
+    const QueryResult lossy = cluster.engine().run(Algo::kEdsud, config);
     auto ids = testutil::idsOf(lossy.skyline);
     std::sort(ids.begin(), ids.end());
     EXPECT_EQ(ids, (std::vector<TupleId>{0, 1}));
@@ -156,7 +156,7 @@ TEST(EdsudTest, DominancePruneStillCorrectOnCertainData) {
   InProcCluster cluster(Topology::uniform(global, 5, 54));
   QueryConfig config;
   config.prune = PruneRule::kDominance;
-  QueryResult result = cluster.engine().runEdsud(config);
+  QueryResult result = cluster.engine().run(Algo::kEdsud, config);
   sortByGlobalProbability(result.skyline);
   EXPECT_EQ(testutil::idsOf(result.skyline),
             testutil::idsOf(linearSkyline(global, {.q = config.q})));
@@ -168,8 +168,8 @@ TEST(EdsudTest, ProgressiveEmissionProperties) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{3000, 3, ValueDistribution::kAnticorrelated, 55});
   InProcCluster cluster(Topology::uniform(global, 10, 56));
-  const QueryResult dsud = cluster.engine().runDsud(QueryConfig{});
-  const QueryResult edsud = cluster.engine().runEdsud(QueryConfig{});
+  const QueryResult dsud = cluster.engine().run(Algo::kDsud, QueryConfig{});
+  const QueryResult edsud = cluster.engine().run(Algo::kEdsud, QueryConfig{});
   ASSERT_EQ(dsud.skyline.size(), edsud.skyline.size());
   ASSERT_GT(edsud.progress.size(), 3u);
   for (std::size_t i = 1; i < edsud.progress.size(); ++i) {
@@ -188,7 +188,7 @@ TEST(EdsudTest, SingleSiteDegeneratesToLocalSkyline) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{500, 2, ValueDistribution::kIndependent, 57});
   InProcCluster cluster(Topology::uniform(global, 1, 58));
-  QueryResult result = cluster.engine().runEdsud(QueryConfig{});
+  QueryResult result = cluster.engine().run(Algo::kEdsud, QueryConfig{});
   sortByGlobalProbability(result.skyline);
   EXPECT_EQ(testutil::idsOf(result.skyline),
             testutil::idsOf(linearSkyline(global, {.q = 0.3})));
@@ -201,7 +201,7 @@ TEST(EdsudTest, EmptySitesProduceEmptySkyline) {
   sites.emplace_back(2);
   sites.emplace_back(2);
   InProcCluster cluster(Topology::fromPartitions(sites));
-  const QueryResult result = cluster.engine().runEdsud(QueryConfig{});
+  const QueryResult result = cluster.engine().run(Algo::kEdsud, QueryConfig{});
   EXPECT_TRUE(result.skyline.empty());
   EXPECT_EQ(result.stats.tuplesShipped, 0u);
 }
@@ -215,7 +215,7 @@ TEST(EdsudTest, ThresholdOneKeepsOnlyCertainUndominated) {
   InProcCluster cluster(Topology::uniform(global, 2, 60));
   QueryConfig config;
   config.q = 1.0;
-  const QueryResult result = cluster.engine().runEdsud(config);
+  const QueryResult result = cluster.engine().run(Algo::kEdsud, config);
   ASSERT_EQ(result.skyline.size(), 1u);
   EXPECT_EQ(result.skyline[0].tuple.id, 0u);
   EXPECT_DOUBLE_EQ(result.skyline[0].globalSkyProb, 1.0);

@@ -79,14 +79,14 @@ FailingCluster makeCluster(std::size_t m, SiteId victim,
 
 TEST(FailureTest, DeathDuringPrepareSurfaces) {
   FailingCluster cluster = makeCluster(4, 2, 0);
-  EXPECT_THROW(cluster.engine->runEdsud(QueryConfig{}), NetError);
+  EXPECT_THROW(cluster.engine->run(Algo::kEdsud, QueryConfig{}), NetError);
 }
 
 TEST(FailureTest, DeathMidQuerySurfacesFromEveryAlgorithm) {
   // Calibrate: how many RPCs does the victim serve in a healthy run?  Then
   // give the flaky link only part of that budget so it dies mid-protocol.
   FailingCluster healthy = makeCluster(4, 1, std::size_t(-1));
-  healthy.engine->runEdsud(QueryConfig{});
+  healthy.engine->run(Algo::kEdsud, QueryConfig{});
   const std::uint64_t victimCalls = healthy.meter->link(1).calls;
   ASSERT_GT(victimCalls, 4u);
 
@@ -96,20 +96,20 @@ TEST(FailureTest, DeathMidQuerySurfacesFromEveryAlgorithm) {
        {std::size_t{3}, static_cast<std::size_t>(victimCalls / 2),
         static_cast<std::size_t>(victimCalls - 2)}) {
     FailingCluster edsud = makeCluster(4, 1, healthyCalls);
-    EXPECT_THROW(edsud.engine->runEdsud(QueryConfig{}), NetError)
+    EXPECT_THROW(edsud.engine->run(Algo::kEdsud, QueryConfig{}), NetError)
         << "budget " << healthyCalls;
 
     FailingCluster dsud = makeCluster(4, 1, healthyCalls);
-    EXPECT_THROW(dsud.engine->runDsud(QueryConfig{}), NetError)
+    EXPECT_THROW(dsud.engine->run(Algo::kDsud, QueryConfig{}), NetError)
         << "budget " << healthyCalls;
   }
   FailingCluster naive = makeCluster(4, 3, 0);
-  EXPECT_THROW(naive.engine->runNaive(QueryConfig{}), NetError);
+  EXPECT_THROW(naive.engine->run(Algo::kNaive, QueryConfig{}), NetError);
 
   // Losing only the final kFinishQuery teardown frame must NOT fail the
   // query: session release is best-effort and carries no answer data.
   FailingCluster teardown = makeCluster(4, 1, victimCalls - 1);
-  const QueryResult result = teardown.engine->runEdsud(QueryConfig{});
+  const QueryResult result = teardown.engine->run(Algo::kEdsud, QueryConfig{});
   EXPECT_FALSE(result.skyline.empty());
 }
 
@@ -117,17 +117,18 @@ TEST(FailureTest, DeathSurfacesThroughParallelBroadcast) {
   FailingCluster cluster = makeCluster(6, 2, 8);
   QueryOptions fanOut;
   fanOut.broadcastThreads = 3;
-  EXPECT_THROW(cluster.engine->runEdsud(QueryConfig{}, fanOut), NetError);
+  EXPECT_THROW(cluster.engine->run(Algo::kEdsud, QueryConfig{}, fanOut),
+               NetError);
 }
 
 TEST(FailureTest, HealthyRunAfterRebuildingIsUnaffected) {
   // The failure is per-cluster state; a fresh cluster over the same data
   // answers normally (no global/static state was poisoned).
   FailingCluster broken = makeCluster(4, 1, 5);
-  EXPECT_THROW(broken.engine->runEdsud(QueryConfig{}), NetError);
+  EXPECT_THROW(broken.engine->run(Algo::kEdsud, QueryConfig{}), NetError);
 
   FailingCluster healthy = makeCluster(4, 1, std::size_t(-1));
-  const QueryResult result = healthy.engine->runEdsud(QueryConfig{});
+  const QueryResult result = healthy.engine->run(Algo::kEdsud, QueryConfig{});
   EXPECT_FALSE(result.skyline.empty());
 }
 

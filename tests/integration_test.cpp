@@ -67,7 +67,7 @@ TEST(IntegrationTest, MaxDimensionalityEndToEnd) {
   InProcCluster cluster(Topology::uniform(global, 4, 1003));
   QueryConfig config;
   config.q = 0.5;
-  QueryResult result = cluster.engine().runEdsud(config);
+  QueryResult result = cluster.engine().run(Algo::kEdsud, config);
   sortByGlobalProbability(result.skyline);
   EXPECT_EQ(testutil::idsOf(result.skyline),
             testutil::idsOf(linearSkyline(global, {.q = config.q})));
@@ -77,7 +77,7 @@ TEST(IntegrationTest, MoreSitesThanTuples) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{5, 2, ValueDistribution::kIndependent, 1004});
   InProcCluster cluster(Topology::uniform(global, 16, 1005));  // 11 sites end up empty
-  QueryResult result = cluster.engine().runEdsud(QueryConfig{});
+  QueryResult result = cluster.engine().run(Algo::kEdsud, QueryConfig{});
   sortByGlobalProbability(result.skyline);
   EXPECT_EQ(testutil::idsOf(result.skyline),
             testutil::idsOf(linearSkyline(global, {.q = 0.3})));
@@ -93,7 +93,7 @@ TEST(IntegrationTest, IdenticalCoordinatesEverywhere) {
   InProcCluster cluster(Topology::uniform(global, 4, 1006));
   QueryConfig config;
   config.q = 0.4;
-  const QueryResult result = cluster.engine().runEdsud(config);
+  const QueryResult result = cluster.engine().run(Algo::kEdsud, config);
   std::size_t expected = 0;
   for (std::size_t row = 0; row < global.size(); ++row) {
     if (global.prob(row) >= config.q) ++expected;
@@ -112,7 +112,7 @@ TEST(IntegrationTest, TinyThresholdReturnsEveryPositiveProbability) {
   InProcCluster cluster(Topology::uniform(global, 3, 1008));
   QueryConfig config;
   config.q = 1e-9;
-  QueryResult result = cluster.engine().runEdsud(config);
+  QueryResult result = cluster.engine().run(Algo::kEdsud, config);
   sortByGlobalProbability(result.skyline);
   EXPECT_EQ(testutil::idsOf(result.skyline),
             testutil::idsOf(linearSkyline(global, {.q = config.q})));
@@ -135,7 +135,7 @@ TEST(IntegrationTest, RepeatedSessionsResetCleanly) {
     QueryConfig config;
     config.q = s.q;
     config.mask = s.mask;
-    QueryResult result = cluster.engine().runEdsud(config);
+    QueryResult result = cluster.engine().run(Algo::kEdsud, config);
     sortByGlobalProbability(result.skyline);
     const DimMask mask = config.effectiveMask(3);
     EXPECT_EQ(testutil::idsOf(result.skyline),
@@ -154,7 +154,7 @@ TEST(IntegrationTest, GaussianProbabilityMeanSweepKeepsExactness) {
                                         ValueDistribution::kIndependent, 1011},
                           gaussianProbability(mu, 0.2));
     InProcCluster cluster(Topology::uniform(global, 5, 1012));
-    QueryResult result = cluster.engine().runEdsud(QueryConfig{});
+    QueryResult result = cluster.engine().run(Algo::kEdsud, QueryConfig{});
     sortByGlobalProbability(result.skyline);
     EXPECT_EQ(testutil::idsOf(result.skyline),
               testutil::idsOf(linearSkyline(global, {.q = 0.3})))

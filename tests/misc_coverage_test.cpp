@@ -84,7 +84,7 @@ TEST(MiscTest, PolicyRuleMatrixExactOnCertainData) {
         config.prune = prune;
         config.bound = bound;
         config.expunge = expunge;
-        QueryResult result = cluster.engine().runEdsud(config);
+        QueryResult result = cluster.engine().run(Algo::kEdsud, config);
         sortByGlobalProbability(result.skyline);
         EXPECT_EQ(testutil::idsOf(result.skyline), expected)
             << "prune=" << static_cast<int>(prune)
@@ -115,8 +115,8 @@ TEST(MiscTest, TopKUnderParallelBroadcastMatchesSequential) {
 
   TopKConfig config;
   config.k = 7;
-  const QueryResult a = seq.engine().runTopK(config);
-  const QueryResult b = par.engine().runTopK(config, parallel);
+  const QueryResult a = seq.engine().run(config);
+  const QueryResult b = par.engine().run(config, parallel);
   EXPECT_EQ(testutil::idsOf(a.skyline), testutil::idsOf(b.skyline));
   EXPECT_EQ(a.stats.tuplesShipped, b.stats.tuplesShipped);
 }
@@ -131,7 +131,8 @@ TEST(MiscTest, NaiveIsProgressiveToo) {
     ++callbacks;
     EXPECT_EQ(point.reported, callbacks);
   };
-  const QueryResult result = cluster.engine().runNaive(QueryConfig{}, options);
+  const QueryResult result =
+      cluster.engine().run(Algo::kNaive, QueryConfig{}, options);
   EXPECT_EQ(callbacks, result.skyline.size());
   EXPECT_GT(callbacks, 0u);
   // The naive baseline ships everything up front, so every progress point
@@ -144,7 +145,7 @@ TEST(MiscTest, MeterLinksAttributeTrafficToTheRightSites) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{500, 2, ValueDistribution::kIndependent, 1109});
   InProcCluster cluster(Topology::uniform(global, 3, 1110));
-  cluster.engine().runEdsud(QueryConfig{});
+  cluster.engine().run(Algo::kEdsud, QueryConfig{});
   std::uint64_t total = 0;
   for (SiteId s = 0; s < 3; ++s) {
     const LinkUsage link = cluster.meter().link(s);

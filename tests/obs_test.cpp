@@ -324,7 +324,7 @@ TEST(ObsIntegrationTest, DsudRunProducesTraceAndMatchingByteCounters) {
   QueryConfig config;
   config.q = 0.3;
 
-  const QueryResult result = cluster.engine().runDsud(config);
+  const QueryResult result = cluster.engine().run(Algo::kDsud, config);
 
   ASSERT_FALSE(result.trace.empty());
   EXPECT_EQ(result.trace.events.front().name, "query.dsud");
@@ -381,7 +381,7 @@ TEST(ObsIntegrationTest, EdsudRunProducesTraceAndMatchingByteCounters) {
   QueryConfig config;
   config.q = 0.3;
 
-  const QueryResult result = cluster.engine().runEdsud(config);
+  const QueryResult result = cluster.engine().run(Algo::kEdsud, config);
 
   ASSERT_FALSE(result.trace.empty());
   EXPECT_EQ(result.trace.events.front().name, "query.edsud");
@@ -402,8 +402,8 @@ TEST(ObsIntegrationTest, GaugesReturnToIdleAndPerSiteCountersMatchUsage) {
   QueryConfig config;
   config.q = 0.3;
 
-  const QueryResult dsud = cluster.engine().runDsud(config);
-  const QueryResult edsud = cluster.engine().runEdsud(config);
+  const QueryResult dsud = cluster.engine().run(Algo::kDsud, config);
+  const QueryResult edsud = cluster.engine().run(Algo::kEdsud, config);
 
   const obs::MetricsSnapshot snapshot = cluster.metricsRegistry().snapshot();
   // Gauge hygiene: every in-flight gauge is back to zero once the last
@@ -435,7 +435,8 @@ TEST(ObsIntegrationTest, TraceCapacityZeroDisablesTracing) {
   InProcCluster cluster(Topology::uniform(global, 3, 8));
   QueryOptions options;
   options.traceCapacity = 0;
-  const QueryResult result = cluster.engine().runEdsud(QueryConfig{}, options);
+  const QueryResult result =
+      cluster.engine().run(Algo::kEdsud, QueryConfig{}, options);
   EXPECT_TRUE(result.trace.empty());
   EXPECT_EQ(result.trace.droppedEvents, 0u);
 }

@@ -94,7 +94,7 @@ TEST(PaperExampleTest, EdsudEmitsTheTableTrace) {
   // The paper's Sec. 5.3 walkthrough parks sub-threshold queue entries
   // until termination; kPark reproduces its exact message counts.
   config.expunge = ExpungePolicy::kPark;
-  const QueryResult result = cluster.engine().runEdsud(config);
+  const QueryResult result = cluster.engine().run(Algo::kEdsud, config);
 
   // Emission order (6,6) -> (8,4) -> (3,8), exactly the paper's SKY(H).
   ASSERT_EQ(result.skyline.size(), 3u);
@@ -139,7 +139,7 @@ TEST(PaperExampleTest, EagerPolicySameAnswersDifferentSchedule) {
   QueryConfig config;
   config.q = kQ;
   config.expunge = ExpungePolicy::kEager;
-  const QueryResult result = cluster.engine().runEdsud(config);
+  const QueryResult result = cluster.engine().run(Algo::kEdsud, config);
   ASSERT_EQ(result.skyline.size(), 3u);
   EXPECT_EQ(result.skyline[0].tuple.id, 10u);
   EXPECT_EQ(result.skyline[1].tuple.id, 11u);
@@ -154,8 +154,8 @@ TEST(PaperExampleTest, DsudFindsSameAnswersWithMoreBandwidth) {
   QueryConfig config;
   config.q = kQ;
 
-  QueryResult dsud = dsudCluster.engine().runDsud(config);
-  QueryResult edsud = edsudCluster.engine().runEdsud(config);
+  QueryResult dsud = dsudCluster.engine().run(Algo::kDsud, config);
+  QueryResult edsud = edsudCluster.engine().run(Algo::kEdsud, config);
 
   sortByGlobalProbability(dsud.skyline);
   sortByGlobalProbability(edsud.skyline);
@@ -173,7 +173,7 @@ TEST(PaperExampleTest, MatchesCentralisedGroundTruth) {
   InProcCluster cluster(Topology::fromPartitions(sites));
   QueryConfig config;
   config.q = kQ;
-  QueryResult result = cluster.engine().runEdsud(config);
+  QueryResult result = cluster.engine().run(Algo::kEdsud, config);
   sortByGlobalProbability(result.skyline);
   EXPECT_EQ(testutil::idsOf(result.skyline), testutil::idsOf(expected));
 }

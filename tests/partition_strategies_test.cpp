@@ -112,8 +112,9 @@ TEST_P(SkewedClusterTest, AlgorithmsStayExactUnderSkew) {
 
   InProcCluster cluster(Topology::fromPartitions(sites));
   const auto expected = testutil::idsOf(linearSkyline(global, {.q = 0.3}));
-  for (QueryResult result : {cluster.engine().runDsud(QueryConfig{}),
-                             cluster.engine().runEdsud(QueryConfig{})}) {
+  for (QueryResult result :
+       {cluster.engine().run(Algo::kDsud, QueryConfig{}),
+        cluster.engine().run(Algo::kEdsud, QueryConfig{})}) {
     sortByGlobalProbability(result.skyline);
     EXPECT_EQ(testutil::idsOf(result.skyline), expected) << strategy;
   }
@@ -136,7 +137,7 @@ TEST(SkewedClusterTest, RangePartitioningConcentratesLocalSkylines) {
       SyntheticSpec{2000, 2, ValueDistribution::kIndependent, 992});
   const auto sites = partitionByRange(global, 4, 0);
   InProcCluster cluster(Topology::fromPartitions(sites));
-  const QueryResult result = cluster.engine().runEdsud(QueryConfig{});
+  const QueryResult result = cluster.engine().run(Algo::kEdsud, QueryConfig{});
   std::size_t fromFirst = 0;
   for (const auto& e : result.skyline) {
     if (e.site == 0) ++fromFirst;

@@ -122,8 +122,8 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(14, 4, ValueDistribution::kCorrelated),
         std::make_tuple(16, 2, ValueDistribution::kAnticorrelated)),
     [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_d" +
-             std::to_string(std::get<1>(info.param)) + "_" +
+      return std::string("n").append(std::to_string(std::get<0>(info.param))) +
+             "_d" + std::to_string(std::get<1>(info.param)) + "_" +
              distributionName(std::get<2>(info.param));
     });
 

@@ -85,9 +85,9 @@ TEST(PropertySweepTest, RandomConfigurationsAllMatchGroundTruth) {
     std::sort(expectedIds.begin(), expectedIds.end());
 
     InProcCluster cluster(Topology::uniform(global, c.m, rng.next()));
-    for (QueryResult result : {cluster.engine().runNaive(c.query),
-                               cluster.engine().runDsud(c.query),
-                               cluster.engine().runEdsud(c.query)}) {
+    for (QueryResult result : {cluster.engine().run(Algo::kNaive, c.query),
+                               cluster.engine().run(Algo::kDsud, c.query),
+                               cluster.engine().run(Algo::kEdsud, c.query)}) {
       auto ids = testutil::idsOf(result.skyline);
       std::sort(ids.begin(), ids.end());
       ASSERT_EQ(ids, expectedIds)
@@ -128,7 +128,7 @@ TEST(PropertySweepTest, TopKConsistentWithThresholdSweep) {
     TopKConfig config;
     config.k = k;
     config.floorQ = 0.02 + 0.2 * rng.uniform();
-    const QueryResult result = cluster.engine().runTopK(config);
+    const QueryResult result = cluster.engine().run(config);
 
     auto truth = linearSkyline(global, {.q = config.floorQ});
     if (truth.size() > k) truth.resize(k);

@@ -161,7 +161,8 @@ TEST(EventLogTest, FileSinkAppendsParseableLines) {
 TEST(FlightRecorderTest, KeepsTheLastCapacityEventsInOrder) {
   obs::FlightRecorder recorder(8);
   for (int i = 0; i < 20; ++i) {
-    recorder.accept(makeEvent("e" + std::to_string(i), 100 + i));
+    recorder.accept(
+        makeEvent(std::string("e").append(std::to_string(i)), 100 + i));
   }
   EXPECT_EQ(recorder.capacity(), 8u);
   EXPECT_EQ(recorder.recorded(), 20u);
@@ -176,7 +177,8 @@ TEST(FlightRecorderTest, KeepsTheLastCapacityEventsInOrder) {
 TEST(FlightRecorderTest, SnapshotFiltersByTimestamp) {
   obs::FlightRecorder recorder(16);
   for (int i = 0; i < 10; ++i) {
-    recorder.accept(makeEvent("e" + std::to_string(i), 1000 + i));
+    recorder.accept(
+        makeEvent(std::string("e").append(std::to_string(i)), 1000 + i));
   }
   EXPECT_EQ(recorder.snapshot(0).size(), 10u);
   EXPECT_EQ(recorder.snapshot(1005).size(), 5u);
@@ -208,7 +210,8 @@ TEST(FlightRecorderTest, ConcurrentWritersWrapCleanly) {
   for (std::size_t w = 0; w < kWriters; ++w) {
     writers.emplace_back([&recorder, w] {
       for (std::size_t i = 0; i < kPerWriter; ++i) {
-        obs::Event event = makeEvent("w" + std::to_string(w), 1 + i);
+        obs::Event event =
+            makeEvent(std::string("w").append(std::to_string(w)), 1 + i);
         event.fields.push_back(obs::field("i", static_cast<std::uint64_t>(i)));
         recorder.accept(event);
       }
@@ -298,7 +301,7 @@ TEST(FlightRecorderTest, DegradedQueryDumpExplainsTheDegradation) {
   degrade.fault.onSiteFailure = OnSiteFailure::kDegrade;
   degrade.fault.retry.maxAttempts = 2;  // so the dump shows the retry
   const QueryResult result =
-      cluster.engine().runEdsud(QueryConfig{}, degrade);
+      cluster.engine().run(Algo::kEdsud, QueryConfig{}, degrade);
   ASSERT_TRUE(result.degraded);
   recorder.setDumpDir("");  // stop other suites' anomalies writing here
 

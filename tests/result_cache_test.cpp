@@ -122,7 +122,7 @@ TEST(ResultCacheTest, EngineHitsReplayBitIdenticalAnswersForFree) {
 
   QueryConfig config;
   config.q = 0.3;
-  const QueryResult first = cluster.engine().runEdsud(config);
+  const QueryResult first = cluster.engine().run(Algo::kEdsud, config);
   EXPECT_GT(first.stats.tuplesShipped, 0u);
 
   std::size_t progressCalls = 0;
@@ -130,7 +130,8 @@ TEST(ResultCacheTest, EngineHitsReplayBitIdenticalAnswersForFree) {
   options.progress = [&](const GlobalSkylineEntry&, const ProgressPoint&) {
     ++progressCalls;
   };
-  const QueryResult replay = cluster.engine().runEdsud(config, options);
+  const QueryResult replay =
+      cluster.engine().run(Algo::kEdsud, config, options);
   expectSameAnswer(replay.skyline, first.skyline);
   // The whole point: a hit ships nothing and runs no protocol rounds.
   EXPECT_EQ(replay.stats.tuplesShipped, 0u);
@@ -140,14 +141,14 @@ TEST(ResultCacheTest, EngineHitsReplayBitIdenticalAnswersForFree) {
   // A tighter threshold is served from the same stored answer.
   QueryConfig tighter;
   tighter.q = 0.6;
-  const QueryResult banded = cluster.engine().runEdsud(tighter);
+  const QueryResult banded = cluster.engine().run(Algo::kEdsud, tighter);
   EXPECT_EQ(banded.stats.tuplesShipped, 0u);
   for (const GlobalSkylineEntry& e : banded.skyline) {
     EXPECT_GE(e.globalSkyProb, 0.6);
   }
   InProcCluster reference(Topology::uniform(data, 6, 8101));
   expectSameAnswer(banded.skyline,
-                   reference.engine().runEdsud(tighter).skyline);
+                   reference.engine().run(Algo::kEdsud, tighter).skyline);
 }
 
 TEST(ResultCacheTest, MaintenanceUpdatesNeverServeStaleVerdicts) {
@@ -159,12 +160,12 @@ TEST(ResultCacheTest, MaintenanceUpdatesNeverServeStaleVerdicts) {
 
   QueryConfig config;
   config.q = 0.3;
-  const QueryResult before = cluster.engine().runEdsud(config);
+  const QueryResult before = cluster.engine().run(Algo::kEdsud, config);
   ASSERT_FALSE(before.skyline.empty());
   const std::uint64_t versionBefore = cluster.coordinator().datasetVersion();
 
   // Warm hit before the update.
-  EXPECT_EQ(cluster.engine().runEdsud(config).stats.tuplesShipped, 0u);
+  EXPECT_EQ(cluster.engine().run(Algo::kEdsud, config).stats.tuplesShipped, 0u);
 
   // Insert a strong tuple that dominates most of the space: many cached
   // P_gsky verdicts are now wrong.
@@ -181,13 +182,13 @@ TEST(ResultCacheTest, MaintenanceUpdatesNeverServeStaleVerdicts) {
 
   // The next query must recompute (new version => cache miss) and agree
   // with the maintainer's exact post-update skyline.
-  QueryResult after = cluster.engine().runEdsud(config);
+  QueryResult after = cluster.engine().run(Algo::kEdsud, config);
   EXPECT_GT(after.stats.tuplesShipped, 0u);
   sortByGlobalProbability(after.skyline);
   expectSameAnswer(after.skyline, maintainer.skyline());
 
   // And the post-update answer caches under the new version.
-  EXPECT_EQ(cluster.engine().runEdsud(config).stats.tuplesShipped, 0u);
+  EXPECT_EQ(cluster.engine().run(Algo::kEdsud, config).stats.tuplesShipped, 0u);
 }
 
 TEST(ResultCacheTest, IneligibleConfigurationsBypassTheCache) {
@@ -203,14 +204,14 @@ TEST(ResultCacheTest, IneligibleConfigurationsBypassTheCache) {
   parked.q = 0.3;
   parked.expunge = ExpungePolicy::kPark;
   EXPECT_FALSE(shareEligible(Algo::kEdsud, parked));
-  cluster.engine().runEdsud(parked);
+  cluster.engine().run(Algo::kEdsud, parked);
   EXPECT_EQ(cache.size(), 0u);
 
   QueryConfig dominance;
   dominance.q = 0.3;
   dominance.prune = PruneRule::kDominance;
   EXPECT_FALSE(shareEligible(Algo::kDsud, dominance));
-  cluster.engine().runDsud(dominance);
+  cluster.engine().run(Algo::kDsud, dominance);
   EXPECT_EQ(cache.size(), 0u);
 
   QueryConfig eligible;

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -21,6 +22,7 @@
 #include "gen/synthetic.hpp"
 #include "net/wire.hpp"
 #include "prom_util.hpp"
+#include "server/event_loop.hpp"
 #include "server/json.hpp"
 #include "server/server.hpp"
 
@@ -34,7 +36,7 @@ class ServerFixture {
  public:
   explicit ServerFixture(ServerConfig config = {}, std::size_t n = 4000,
                          std::size_t dims = 3, bool shareWork = false,
-                         bool wireAdmin = false) {
+                         bool wireAdmin = false, std::size_t replicas = 1) {
     // Most tests compare server stats strictly against direct engine runs,
     // which the sharing layer deliberately changes (a cache hit ships
     // nothing).  Keep it off unless a test opts in.
@@ -47,8 +49,8 @@ class ServerFixture {
     spec.dims = dims;
     spec.dist = ValueDistribution::kAnticorrelated;
     spec.seed = 1;
-    cluster_ = std::make_unique<InProcCluster>(
-        Topology::uniform(generateSynthetic(spec, uniformProbability()), 4, 1));
+    cluster_ = std::make_unique<InProcCluster>(Topology::uniform(
+        generateSynthetic(spec, uniformProbability()), 4, 1, replicas));
     if (wireAdmin) {
       // The same wiring dsudd uses: the admin surface drives the cluster.
       InProcCluster* cluster = cluster_.get();
@@ -218,7 +220,7 @@ TEST(ServerTest, QueryStreamsBitIdenticalToDirectRun) {
   ServerFixture fx;
   QueryConfig config;
   config.q = 0.3;
-  const QueryResult direct = fx.engine().runEdsud(config);
+  const QueryResult direct = fx.engine().run(Algo::kEdsud, config);
   ASSERT_FALSE(direct.skyline.empty());
 
   Client client(fx.server().port());
@@ -236,14 +238,14 @@ TEST(ServerTest, TopKSubspaceAndConstrainedRouteCorrectly) {
   TopKConfig topk;
   topk.k = 5;
   topk.floorQ = 1e-3;
-  const QueryResult directTopK = fx.engine().runTopK(topk);
+  const QueryResult directTopK = fx.engine().run(topk);
   client.send(R"({"op":"query","id":"tk","k":5,"floor_q":0.001})");
   expectBitIdentical(collect(client, "tk"), directTopK);
 
   QueryConfig sub;
   sub.q = 0.3;
   sub.mask = 0b011;
-  const QueryResult directSub = fx.engine().runEdsud(sub);
+  const QueryResult directSub = fx.engine().run(Algo::kEdsud, sub);
   client.send(R"({"op":"query","id":"sub","q":0.3,"mask":3})");
   expectBitIdentical(collect(client, "sub"), directSub);
 
@@ -253,7 +255,7 @@ TEST(ServerTest, TopKSubspaceAndConstrainedRouteCorrectly) {
   window.expand(std::vector<double>{0.0, 0.0, 0.0});
   window.expand(std::vector<double>{0.5, 0.5, 0.5});
   win.window = window;
-  const QueryResult directWin = fx.engine().runEdsud(win);
+  const QueryResult directWin = fx.engine().run(Algo::kEdsud, win);
   client.send(
       R"({"op":"query","id":"win","q":0.2,"window":{"lo":[0,0,0],"hi":[0.5,0.5,0.5]}})");
   expectBitIdentical(collect(client, "win"), directWin);
@@ -263,7 +265,7 @@ TEST(ServerTest, NonProgressiveAndLimitedQueries) {
   ServerFixture fx;
   QueryConfig config;
   config.q = 0.3;
-  const QueryResult direct = fx.engine().runEdsud(config);
+  const QueryResult direct = fx.engine().run(Algo::kEdsud, config);
   ASSERT_GT(direct.skyline.size(), 3u);
 
   Client client(fx.server().port());
@@ -292,7 +294,7 @@ TEST(ServerTest, SixtyFourConcurrentClientsBitIdentical) {
   ServerFixture fx({}, 2000);
   QueryConfig config;
   config.q = 0.3;
-  const QueryResult direct = fx.engine().runEdsud(config);
+  const QueryResult direct = fx.engine().run(Algo::kEdsud, config);
   ASSERT_FALSE(direct.skyline.empty());
 
   constexpr std::size_t kClients = 64;
@@ -308,7 +310,8 @@ TEST(ServerTest, SixtyFourConcurrentClientsBitIdentical) {
                      R"(","algo":"edsud","q":0.3})");
   }
   for (std::size_t i = 0; i < kClients; ++i) {
-    const QueryOutcome out = collect(*clients[i], "c" + std::to_string(i));
+    const QueryOutcome out =
+        collect(*clients[i], std::string("c").append(std::to_string(i)));
     expectBitIdentical(out, direct);
   }
 }
@@ -323,7 +326,7 @@ TEST(ServerTest, QuotaShedBurstNeverHangsAndDrainsToZero) {
   constexpr int kBurst = 8;
   std::vector<std::string> ids;
   for (int i = 0; i < kBurst; ++i) {
-    ids.push_back("b" + std::to_string(i));
+    ids.push_back(std::string("b").append(std::to_string(i)));
     client.send(R"({"op":"query","id":")" + ids.back() + R"(","q":0.3})");
   }
   int completed = 0;
@@ -455,6 +458,19 @@ TEST(ServerTest, AbruptResetMidPipelineDoesNotCorruptServer) {
 // ---------------------------------------------------------------------------
 // Connection teardown mechanics
 
+TEST(EventLoopTest, StopFromAnotherThreadEndsRun) {
+  // stop() may be called from any thread while run() dispatches on its own;
+  // under TSan this guards the stop flag against a data race.
+  EventLoop loop;
+  std::promise<void> started;
+  loop.post([&started] { started.set_value(); });
+  std::thread runner([&loop] { loop.run(); });
+  started.get_future().wait();  // run() has dispatched a posted task
+  std::thread stopper([&loop] { loop.stop(); });
+  stopper.join();
+  runner.join();
+}
+
 TEST(ConnectionTest, DefunctStopsLineDispatchWithoutDestruction) {
   // The server reacts to a failed send by marking the connection defunct
   // from inside the line handler; onReadable() must stop dispatching the
@@ -553,7 +569,7 @@ TEST(ServerTest, SharedWorkServesCachedAnswersBitIdenticalForFree) {
   // the reference answers every cached reply must match bit-for-bit.
   QueryConfig warm;
   warm.q = 0.3;
-  const QueryResult reference = fx.engine().runEdsud(warm);
+  const QueryResult reference = fx.engine().run(Algo::kEdsud, warm);
   ASSERT_FALSE(reference.skyline.empty());
 
   constexpr std::size_t kClients = 16;
@@ -567,7 +583,8 @@ TEST(ServerTest, SharedWorkServesCachedAnswersBitIdenticalForFree) {
                      R"(","algo":"edsud","q":0.3})");
   }
   for (std::size_t i = 0; i < kClients; ++i) {
-    const QueryOutcome out = collect(*clients[i], "s" + std::to_string(i));
+    const QueryOutcome out =
+        collect(*clients[i], std::string("s").append(std::to_string(i)));
     ASSERT_FALSE(out.failed) << out.error.message;
     ASSERT_EQ(out.answers.size(), reference.skyline.size());
     for (std::size_t j = 0; j < out.answers.size(); ++j) {
@@ -742,7 +759,7 @@ TEST(ServerTest, QueriesKeepCompletingDuringWireTriggeredRebalance) {
   adminClient.send(R"({"op":"admin","id":"r1","action":"rebalance"})");
   std::vector<std::string> ids;
   for (int i = 0; i < 8; ++i) {
-    const std::string id = "q" + std::to_string(i);
+    const std::string id = std::string("q").append(std::to_string(i));
     queryClient.send(R"({"op":"query","id":")" + id +
                      R"(","q":0.3,"progressive":false})");
     ids.push_back(id);
@@ -854,6 +871,59 @@ TEST(ServerTest, DebugEndpointsServeWellFormedJson) {
   EXPECT_NE(nfStatus.find("404"), std::string::npos);
 }
 
+/// Partition breaker states and the open count from /debug/topology.
+std::pair<std::vector<std::string>, double> debugBreakers(std::uint16_t http) {
+  const auto [status, body] =
+      httpGet(http, "GET /debug/topology HTTP/1.1\r\nHost: t\r\n\r\n");
+  EXPECT_NE(status.find("200"), std::string::npos);
+  const Json topology = Json::parse(body);
+  std::vector<std::string> states;
+  for (const Json& part : topology.find("partitions")->asArray()) {
+    states.push_back(part.find("breaker")->asString());
+  }
+  return {states, topology.find("breakers_open")->asNumber()};
+}
+
+TEST(ServerTest, PartitionIsOpenOnlyWhenEveryReplicaBreakerIs) {
+  // k=2 on a ring of 4 members: partition i lives on members i and i+1.
+  ServerFixture fx({}, 4000, 3, false, false, /*replicas=*/2);
+  const auto view = fx.engine().coordinator().view();
+  ASSERT_EQ(view->partitions.size(), 4u);
+  const auto trip = [](SiteHealth* health) {
+    for (int i = 0; i < 3; ++i) health->recordFailure();  // default threshold
+    ASSERT_EQ(health->state(), SiteHealth::State::kOpen);
+  };
+
+  // Open the primaries of partitions 0 and 2 — half of all primaries, the
+  // admission gate's default shed fraction.  Every partition still has a
+  // replica whose breaker is closed.
+  trip(view->partitions[0].health[0]);
+  trip(view->partitions[2].health[0]);
+  for (const ReplicaChain& chain : view->partitions) {
+    ASSERT_EQ(chain.health.size(), 2u);
+  }
+  const auto [states, open] = debugBreakers(fx.server().httpPort());
+  EXPECT_EQ(open, 0.0);
+  for (const std::string& state : states) EXPECT_EQ(state, "closed");
+
+  // Admission does not shed: failover serves the tripped partitions.
+  Client client(fx.server().port());
+  client.send(R"({"op":"query","id":"k2","algo":"edsud","q":0.3})");
+  const QueryOutcome out = collect(client, "k2");
+  ASSERT_FALSE(out.failed) << out.error.message;
+  EXPECT_FALSE(out.done.degraded);
+
+  // Once both replicas of a partition are open, it is.
+  for (const ReplicaChain& chain : view->partitions) {
+    for (SiteHealth* health : chain.health) {
+      if (health->state() != SiteHealth::State::kOpen) trip(health);
+    }
+  }
+  const auto [allStates, allOpen] = debugBreakers(fx.server().httpPort());
+  EXPECT_EQ(allOpen, 4.0);
+  for (const std::string& state : allStates) EXPECT_EQ(state, "open");
+}
+
 // ---------------------------------------------------------------------------
 // Per-query EXPLAIN profiles over the wire
 
@@ -875,7 +945,7 @@ TEST(ServerTest, ProfileOnAnswerIsBitIdenticalAndCompleteForAllAlgos) {
   for (const AlgoCase& c : cases) {
     // The same query with and without `profile`: answers and stats must be
     // bit-identical — profiling is observation, never perturbation.
-    const std::string plainId = "p" + std::to_string(seq++);
+    const std::string plainId = std::string("p").append(std::to_string(seq++));
     client.send(R"({"op":"query","id":")" + plainId + R"(",)" + c.request +
                 "}");
     const QueryOutcome plain = collect(client, plainId);
@@ -883,7 +953,7 @@ TEST(ServerTest, ProfileOnAnswerIsBitIdenticalAndCompleteForAllAlgos) {
     EXPECT_FALSE(plain.done.profile.has_value())
         << c.expected << ": profile must be opt-in";
 
-    const std::string profId = "p" + std::to_string(seq++);
+    const std::string profId = std::string("p").append(std::to_string(seq++));
     client.send(R"({"op":"query","id":")" + profId + R"(",)" + c.request +
                 R"(,"profile":true})");
     const QueryOutcome profiled = collect(client, profId);

@@ -31,7 +31,7 @@ TEST(StressTest, FiftyThousandTuplesSixtySites) {
   InProcCluster cluster(Topology::uniform(global, 60, 1201));
 
   Stopwatch watch;
-  QueryResult result = cluster.engine().runEdsud(QueryConfig{});
+  QueryResult result = cluster.engine().run(Algo::kEdsud, QueryConfig{});
   const double seconds = watch.elapsedSeconds();
 
   sortByGlobalProbability(result.skyline);
@@ -49,7 +49,7 @@ TEST(StressTest, AnticorrelatedHighDimensional) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{20000, 5, ValueDistribution::kAnticorrelated, 1202});
   InProcCluster cluster(Topology::uniform(global, 40, 1203));
-  QueryResult result = cluster.engine().runEdsud(QueryConfig{});
+  QueryResult result = cluster.engine().run(Algo::kEdsud, QueryConfig{});
   sortByGlobalProbability(result.skyline);
   auto ids = testutil::idsOf(result.skyline);
   std::sort(ids.begin(), ids.end());
@@ -60,7 +60,7 @@ TEST(StressTest, AnticorrelatedHighDimensional) {
 TEST(StressTest, NyseScaleTrace) {
   const Dataset trace = generateNyse(NyseSpec{100000, 1204});
   InProcCluster cluster(Topology::uniform(trace, 60, 1205));
-  QueryResult result = cluster.engine().runEdsud(QueryConfig{});
+  QueryResult result = cluster.engine().run(Algo::kEdsud, QueryConfig{});
   sortByGlobalProbability(result.skyline);
   auto ids = testutil::idsOf(result.skyline);
   std::sort(ids.begin(), ids.end());
@@ -90,7 +90,7 @@ TEST(StressTest, DeepUpdateStreamAtScale) {
     maintainer.apply(e);
   }
   // Spot-check exactness via the ship-all path (fresh meter delta unused).
-  QueryResult requery = cluster.engine().runEdsud(config);
+  QueryResult requery = cluster.engine().run(Algo::kEdsud, config);
   sortByGlobalProbability(requery.skyline);
   auto maintained = testutil::idsOf(maintainer.skyline());
   auto queried = testutil::idsOf(requery.skyline);

@@ -26,9 +26,9 @@ TEST_P(SubspaceParamTest, DistributedMatchesCentralisedProjection) {
   config.mask = mask;
 
   const auto expected = linearSkyline(global, {.mask = mask, .q = config.q});
-  for (QueryResult result : {cluster.engine().runDsud(config),
-                             cluster.engine().runEdsud(config),
-                             cluster.engine().runNaive(config)}) {
+  for (QueryResult result : {cluster.engine().run(Algo::kDsud, config),
+                             cluster.engine().run(Algo::kEdsud, config),
+                             cluster.engine().run(Algo::kNaive, config)}) {
     sortByGlobalProbability(result.skyline);
     ASSERT_EQ(result.skyline.size(), expected.size()) << "mask=" << mask;
     for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -63,7 +63,7 @@ TEST(SubspaceTest, SingleDimensionSkylineIsMinimumStaircase) {
   QueryConfig config;
   config.q = 0.2;
   config.mask = 0b01;  // price only
-  QueryResult result = cluster.engine().runEdsud(config);
+  QueryResult result = cluster.engine().run(Algo::kEdsud, config);
   sortByGlobalProbability(result.skyline);
   ASSERT_EQ(result.skyline.size(), 2u);
   EXPECT_EQ(result.skyline[0].tuple.id, 0u);  // P_gsky = 0.5
@@ -78,8 +78,8 @@ TEST(SubspaceTest, SubspaceAnswerCanDifferFromFullSpace) {
   QueryConfig fullConfig;
   QueryConfig subConfig;
   subConfig.mask = 0b011;
-  const auto full = cluster.engine().runEdsud(fullConfig);
-  const auto sub = cluster.engine().runEdsud(subConfig);
+  const auto full = cluster.engine().run(Algo::kEdsud, fullConfig);
+  const auto sub = cluster.engine().run(Algo::kEdsud, subConfig);
   // The 2-D projection has (weakly) fewer skyline tuples than the 3-D space
   // on anticorrelated data; mostly we check both are valid and different.
   EXPECT_NE(testutil::idsOf(full.skyline), testutil::idsOf(sub.skyline));

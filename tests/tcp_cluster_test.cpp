@@ -81,13 +81,13 @@ TEST(TcpClusterTest, EdsudOverTcpMatchesInProcess) {
   QueryResult inproc;
   {
     InProcCluster cluster(Topology::fromPartitions(siteData));
-    inproc = cluster.engine().runEdsud(config);
+    inproc = cluster.engine().run(Algo::kEdsud, config);
   }
   QueryResult tcp;
   std::uint64_t tcpWireBytes = 0;
   {
     TcpCluster cluster(siteData);
-    tcp = cluster.engine().runEdsud(config);
+    tcp = cluster.engine().run(Algo::kEdsud, config);
     for (const auto& [name, value] : cluster.metrics().snapshot().counters) {
       if (name.rfind("dsud_transport_bytes_total", 0) == 0) {
         tcpWireBytes += value;
@@ -117,10 +117,10 @@ TEST(TcpClusterTest, DsudAndNaiveOverTcp) {
   TcpCluster cluster(siteData);
   QueryConfig config;
 
-  QueryResult naive = cluster.engine().runNaive(config);
+  QueryResult naive = cluster.engine().run(Algo::kNaive, config);
   EXPECT_EQ(naive.stats.tuplesShipped, global.size());
 
-  QueryResult dsud = cluster.engine().runDsud(config);
+  QueryResult dsud = cluster.engine().run(Algo::kDsud, config);
   sortByGlobalProbability(dsud.skyline);
   EXPECT_EQ(testutil::idsOf(dsud.skyline),
             testutil::idsOf(linearSkyline(global, {.q = config.q})));

@@ -91,8 +91,9 @@ TEST(ParallelBroadcastTest, MatchesSequentialExactly) {
   QueryOptions fanOut;
   fanOut.broadcastThreads = 4;
 
-  const QueryResult a = sequential.engine().runEdsud(QueryConfig{});
-  const QueryResult b = parallel.engine().runEdsud(QueryConfig{}, fanOut);
+  const QueryResult a = sequential.engine().run(Algo::kEdsud, QueryConfig{});
+  const QueryResult b =
+      parallel.engine().run(Algo::kEdsud, QueryConfig{}, fanOut);
 
   ASSERT_EQ(a.skyline.size(), b.skyline.size());
   for (std::size_t i = 0; i < a.skyline.size(); ++i) {
@@ -111,13 +112,13 @@ TEST(ParallelBroadcastTest, WorksForDsudAndUpdatesToo) {
   QueryOptions fanOut;
   fanOut.broadcastThreads = 3;
 
-  QueryResult dsud = cluster.engine().runDsud(QueryConfig{}, fanOut);
+  QueryResult dsud = cluster.engine().run(Algo::kDsud, QueryConfig{}, fanOut);
   sortByGlobalProbability(dsud.skyline);
   EXPECT_EQ(testutil::idsOf(dsud.skyline),
             testutil::idsOf(linearSkyline(global, {.q = 0.3})));
 
   // Default options: back to the sequential path.
-  QueryResult again = cluster.engine().runDsud(QueryConfig{});
+  QueryResult again = cluster.engine().run(Algo::kDsud, QueryConfig{});
   sortByGlobalProbability(again.skyline);
   EXPECT_EQ(testutil::idsOf(again.skyline), testutil::idsOf(dsud.skyline));
 }

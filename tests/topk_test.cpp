@@ -1,6 +1,6 @@
-// Top-k probabilistic skyline (QueryEngine::runTopK): the k tuples with the
-// largest global skyline probability, verified against the sorted
-// centralised ground truth.
+// Top-k probabilistic skyline (QueryEngine::run with a TopKConfig): the k
+// tuples with the largest global skyline probability, verified against the
+// sorted centralised ground truth.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,10 +26,10 @@ TEST(TopKTest, ValidatesArguments) {
   InProcCluster cluster(Topology::uniform(global, 2, 401));
   TopKConfig bad;
   bad.k = 0;
-  EXPECT_THROW(cluster.engine().runTopK(bad), std::invalid_argument);
+  EXPECT_THROW(cluster.engine().run(bad), std::invalid_argument);
   bad.k = 1;
   bad.floorQ = 0.0;
-  EXPECT_THROW(cluster.engine().runTopK(bad), std::invalid_argument);
+  EXPECT_THROW(cluster.engine().run(bad), std::invalid_argument);
 }
 
 class TopKParamTest
@@ -44,7 +44,7 @@ TEST_P(TopKParamTest, MatchesSortedGroundTruth) {
     TopKConfig config;
     config.k = k;
     config.floorQ = 0.05;
-    const QueryResult result = cluster.engine().runTopK(config);
+    const QueryResult result = cluster.engine().run(config);
     EXPECT_EQ(testutil::idsOf(result.skyline),
               topKTruth(global, k, config.floorQ))
         << "seed=" << seed;
@@ -77,7 +77,7 @@ TEST(TopKTest, KLargerThanAnswerSetReturnsEverything) {
   TopKConfig config;
   config.k = 10000;
   config.floorQ = 0.3;
-  const QueryResult result = cluster.engine().runTopK(config);
+  const QueryResult result = cluster.engine().run(config);
   EXPECT_EQ(testutil::idsOf(result.skyline), topKTruth(global, 10000, 0.3));
 }
 
@@ -91,11 +91,11 @@ TEST(TopKTest, AdaptiveThresholdBeatsFloorQuery) {
   TopKConfig topk;
   topk.k = 5;
   topk.floorQ = 0.05;
-  const QueryResult adaptive = cluster.engine().runTopK(topk);
+  const QueryResult adaptive = cluster.engine().run(topk);
 
   QueryConfig full;
   full.q = topk.floorQ;
-  const QueryResult exhaustive = cluster.engine().runEdsud(full);
+  const QueryResult exhaustive = cluster.engine().run(Algo::kEdsud, full);
 
   ASSERT_EQ(adaptive.skyline.size(), 5u);
   EXPECT_LT(adaptive.stats.tuplesShipped,
@@ -115,7 +115,7 @@ TEST(TopKTest, SubspaceTopK) {
   config.k = 8;
   config.floorQ = 0.05;
   config.mask = 0b011;
-  const QueryResult result = cluster.engine().runTopK(config);
+  const QueryResult result = cluster.engine().run(config);
 
   auto truth = linearSkyline(global, {.mask = config.mask, .q = config.floorQ});
   if (truth.size() > 8) truth.resize(8);
@@ -136,7 +136,7 @@ TEST(TopKTest, WindowedTopK) {
   config.k = 5;
   config.floorQ = 0.05;
   config.window = window;
-  const QueryResult result = cluster.engine().runTopK(config);
+  const QueryResult result = cluster.engine().run(config);
 
   auto truth =
       linearSkyline(global, {.q = config.floorQ, .clip = &window});
@@ -151,8 +151,8 @@ TEST(TopKTest, DeterministicAcrossRuns) {
   InProcCluster b(Topology::uniform(global, 6, 429));
   TopKConfig config;
   config.k = 12;
-  const QueryResult ra = a.engine().runTopK(config);
-  const QueryResult rb = b.engine().runTopK(config);
+  const QueryResult ra = a.engine().run(config);
+  const QueryResult rb = b.engine().run(config);
   EXPECT_EQ(testutil::idsOf(ra.skyline), testutil::idsOf(rb.skyline));
   EXPECT_EQ(ra.stats.tuplesShipped, rb.stats.tuplesShipped);
 }

@@ -121,8 +121,8 @@ TEST(ElasticClusterTest, RemoveSiteDrainsItsPartitionOntoSurvivors) {
   EXPECT_FALSE(cluster.topology().isMember(2));
 
   InProcCluster fresh(Topology::fromPartitions(partitionSTR(global, 3)));
-  const QueryResult a = cluster.engine().runEdsud(QueryConfig{});
-  const QueryResult b = fresh.engine().runEdsud(QueryConfig{});
+  const QueryResult a = cluster.engine().run(Algo::kEdsud, QueryConfig{});
+  const QueryResult b = fresh.engine().run(Algo::kEdsud, QueryConfig{});
   ASSERT_EQ(a.skyline, b.skyline)
       << "no tuple may be lost when a member leaves";
 }
@@ -141,8 +141,8 @@ TEST(ElasticClusterTest, MembershipEpochRetiresCachedAnswers) {
     return c == nullptr ? 0u : *c;
   };
 
-  const QueryResult first = cluster.engine().runEdsud(QueryConfig{});
-  const QueryResult second = cluster.engine().runEdsud(QueryConfig{});
+  const QueryResult first = cluster.engine().run(Algo::kEdsud, QueryConfig{});
+  const QueryResult second = cluster.engine().run(Algo::kEdsud, QueryConfig{});
   ASSERT_EQ(second.skyline, first.skyline);
   EXPECT_EQ(hits(), 1u) << "an unchanged cluster serves from the cache";
 
@@ -154,9 +154,10 @@ TEST(ElasticClusterTest, MembershipEpochRetiresCachedAnswers) {
   cluster.rebalance();
   cluster.removeSite(added);
 
-  const QueryResult relayout = cluster.engine().runEdsud(QueryConfig{});
+  const QueryResult relayout =
+      cluster.engine().run(Algo::kEdsud, QueryConfig{});
   EXPECT_EQ(hits(), 1u) << "a layout change must miss the cache";
-  const QueryResult repeat = cluster.engine().runEdsud(QueryConfig{});
+  const QueryResult repeat = cluster.engine().run(Algo::kEdsud, QueryConfig{});
   EXPECT_EQ(hits(), 2u) << "the new epoch caches normally";
   ASSERT_EQ(repeat.skyline, relayout.skyline);
 
@@ -169,7 +170,8 @@ TEST(ElasticClusterTest, QueriesCompleteDuringBackgroundRebalance) {
 
   // Answer identity is layout-invariant; only the per-entry partition
   // attribution moves.  Compare the id sets across epochs.
-  const QueryResult reference = cluster.engine().runEdsud(QueryConfig{});
+  const QueryResult reference =
+      cluster.engine().run(Algo::kEdsud, QueryConfig{});
   std::vector<TupleId> expected;
   for (const GlobalSkylineEntry& e : reference.skyline) {
     expected.push_back(e.tuple.id);
@@ -185,7 +187,8 @@ TEST(ElasticClusterTest, QueriesCompleteDuringBackgroundRebalance) {
   std::size_t completed = 0;
   while ((!done.load(std::memory_order_acquire) || completed == 0) &&
          completed < 200) {
-    const QueryResult result = cluster.engine().runEdsud(QueryConfig{});
+    const QueryResult result =
+        cluster.engine().run(Algo::kEdsud, QueryConfig{});
     EXPECT_FALSE(result.degraded)
         << "a background rebalance must never degrade a query";
     std::vector<TupleId> ids;
@@ -222,12 +225,12 @@ TEST(TopologyTest, DrainedStoreStillServesPinnedEpochSessions) {
 TEST(ElasticClusterTest, AddedMemberServesNoDataUntilRebalance) {
   const Dataset global = testGlobal(200);
   InProcCluster cluster(Topology::uniform(global, 2, 31));
-  const QueryResult before = cluster.engine().runEdsud(QueryConfig{});
+  const QueryResult before = cluster.engine().run(Algo::kEdsud, QueryConfig{});
 
   cluster.addSite();
   EXPECT_EQ(cluster.siteCount(), 2u)
       << "membership changed but the layout has not";
-  const QueryResult between = cluster.engine().runEdsud(QueryConfig{});
+  const QueryResult between = cluster.engine().run(Algo::kEdsud, QueryConfig{});
   ASSERT_EQ(between.skyline, before.skyline);
 
   cluster.rebalance();

@@ -3,14 +3,12 @@
 // the end-to-end pipeline — site-side spans shipped piggybacked (in-process)
 // or via kFetchTrace (TCP), merged into the coordinator's timeline so every
 // site span lands INSIDE its parent RPC span, exported as Perfetto-loadable
-// JSON, and dumped by the slow-query log.
+// JSON, and the slow-query log's `query.slow` event.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,7 +22,9 @@
 #include "gen/synthetic.hpp"
 #include "net/tcp_transport.hpp"
 #include "obs/export.hpp"
+#include "obs/log.hpp"
 #include "obs/merge.hpp"
+#include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "test_util.hpp"
 
@@ -293,7 +293,8 @@ TEST(SiteTraceE2ETest, PiggybackMergesEverySiteSpanInsideItsRpc) {
   QueryOptions options;
   options.siteTrace = SiteTraceMode::kPiggyback;
 
-  const QueryResult result = cluster.engine().runEdsud(QueryConfig{}, options);
+  const QueryResult result =
+      cluster.engine().run(Algo::kEdsud, QueryConfig{}, options);
 
   ASSERT_FALSE(result.trace.empty());
   expectSiteSpansContained(result.trace);
@@ -317,14 +318,15 @@ TEST(SiteTraceE2ETest, SiteTraceOffKeepsTheWirePayloadIdentical) {
   InProcCluster traced(Topology::uniform(global, 4, 504));
 
   QueryOptions off;  // tracing on, site tracing off (the default)
-  const QueryResult a = plain.engine().runEdsud(QueryConfig{});
-  const QueryResult b = traced.engine().runEdsud(QueryConfig{}, off);
+  const QueryResult a = plain.engine().run(Algo::kEdsud, QueryConfig{});
+  const QueryResult b = traced.engine().run(Algo::kEdsud, QueryConfig{}, off);
   EXPECT_EQ(a.stats.bytesShipped, b.stats.bytesShipped)
       << "SiteTraceMode::kOff must keep responses byte-identical";
 
   QueryOptions piggyback;
   piggyback.siteTrace = SiteTraceMode::kPiggyback;
-  const QueryResult c = traced.engine().runEdsud(QueryConfig{}, piggyback);
+  const QueryResult c =
+      traced.engine().run(Algo::kEdsud, QueryConfig{}, piggyback);
   EXPECT_GT(c.stats.bytesShipped, a.stats.bytesShipped)
       << "piggybacked trailers ride on the measured responses";
   EXPECT_EQ(c.skyline.size(), a.skyline.size())
@@ -338,7 +340,8 @@ TEST(SiteTraceE2ETest, FetchModeReadsSpansAtFinishTime) {
   QueryOptions options;
   options.siteTrace = SiteTraceMode::kFetch;
 
-  const QueryResult result = cluster.engine().runDsud(QueryConfig{}, options);
+  const QueryResult result =
+      cluster.engine().run(Algo::kDsud, QueryConfig{}, options);
   ASSERT_FALSE(result.trace.empty());
   expectSiteSpansContained(result.trace);
   bool sawFetch = false;
@@ -406,7 +409,7 @@ TEST(SiteTraceE2ETest, TcpClusterAlignsSiteClocksIntoRpcSpans) {
     QueryOptions options;
     options.siteTrace = mode;
     const QueryResult result =
-        cluster.engine().runEdsud(QueryConfig{}, options);
+        cluster.engine().run(Algo::kEdsud, QueryConfig{}, options);
     ASSERT_FALSE(result.trace.empty());
     expectSiteSpansContained(result.trace);
     const auto summaries = mergeSummaries(result.trace);
@@ -427,7 +430,8 @@ TEST(SiteTraceE2ETest, PerfettoExportPutsSiteSpansOnSiteTracks) {
   InProcCluster cluster(Topology::uniform(global, 3, 510));
   QueryOptions options;
   options.siteTrace = SiteTraceMode::kPiggyback;
-  const QueryResult result = cluster.engine().runEdsud(QueryConfig{}, options);
+  const QueryResult result =
+      cluster.engine().run(Algo::kEdsud, QueryConfig{}, options);
 
   const std::string json = obs::traceToPerfetto(result.trace);
   EXPECT_NE(json.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
@@ -465,51 +469,56 @@ TEST(SiteTraceE2ETest, PerfettoExportPutsSiteSpansOnSiteTracks) {
   EXPECT_FALSE(inString);
 }
 
-TEST(SiteTraceE2ETest, SlowQueryLogDumpsMergedTrace) {
+/// The `query.slow` events the flight recorder retained since `sinceNs`.
+std::vector<obs::Event> slowQueryEvents(std::uint64_t sinceNs) {
+  std::vector<obs::Event> slow;
+  for (obs::Event& event : obs::flightRecorder().snapshot(sinceNs)) {
+    if (event.name == "query.slow") slow.push_back(std::move(event));
+  }
+  return slow;
+}
+
+TEST(SiteTraceE2ETest, SlowQueryLogEmitsEventAndCounts) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{500, 2, ValueDistribution::kAnticorrelated, 511});
   InProcCluster cluster(Topology::uniform(global, 3, 512));
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "dsud_slow_queries";
-  std::filesystem::remove_all(dir);
+  const std::uint64_t startNs = obs::wallClockNs();
 
   QueryOptions options;
   options.siteTrace = SiteTraceMode::kPiggyback;
   options.slowQueryThreshold = 1e-9;  // every real query exceeds this
-  options.slowQueryDir = dir.string();
-  const QueryResult result = cluster.engine().runEdsud(QueryConfig{}, options);
-  ASSERT_FALSE(result.trace.empty());
+  const QueryResult result =
+      cluster.engine().run(Algo::kEdsud, QueryConfig{}, options);
 
-  std::vector<std::filesystem::path> dumps;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    dumps.push_back(entry.path());
-  }
-  ASSERT_EQ(dumps.size(), 1u);
-  EXPECT_NE(dumps[0].filename().string().find("edsud-q"), std::string::npos);
-  EXPECT_NE(dumps[0].filename().string().find(".trace.json"),
-            std::string::npos);
-  std::ifstream in(dumps[0]);
-  std::stringstream content;
-  content << in.rdbuf();
-  EXPECT_NE(content.str().find("\"traceEvents\""), std::string::npos);
+  const std::vector<obs::Event> slow = slowQueryEvents(startNs);
+  ASSERT_EQ(slow.size(), 1u);
+  EXPECT_EQ(slow[0].level, LogLevel::kWarn);
+  EXPECT_EQ(slow[0].component, "engine");
+  std::map<std::string, const obs::EventField*> fields;
+  for (const obs::EventField& f : slow[0].fields) fields[f.key] = &f;
+  ASSERT_TRUE(fields.count("query"));
+  EXPECT_EQ(fields["query"]->u, result.id);
+  ASSERT_TRUE(fields.count("algo"));
+  EXPECT_EQ(fields["algo"]->s, "edsud");
+  ASSERT_TRUE(fields.count("seconds"));
+  EXPECT_EQ(fields["seconds"]->d, result.stats.seconds);
+  ASSERT_TRUE(fields.count("tuples"));
+  EXPECT_EQ(fields["tuples"]->u, result.stats.tuplesShipped);
 
-  const auto* slow = cluster.metricsRegistry().snapshot().counter(
-      "dsud_slow_queries_total{algo=\"edsud\"}");
-  ASSERT_NE(slow, nullptr);
-  EXPECT_EQ(*slow, 1u);
+  const char* const counter = "dsud_slow_queries_total{algo=\"edsud\"}";
+  const obs::MetricsSnapshot slowSnapshot =
+      cluster.metricsRegistry().snapshot();
+  ASSERT_NE(slowSnapshot.counter(counter), nullptr);
+  EXPECT_EQ(*slowSnapshot.counter(counter), 1u);
 
-  // Fast queries (threshold sky-high) never dump and never count.
+  // Fast queries (threshold sky-high) neither log nor count.
   QueryOptions fast;
   fast.slowQueryThreshold = 1e9;
-  fast.slowQueryDir = dir.string();
-  (void)cluster.engine().runEdsud(QueryConfig{}, fast);
-  std::size_t after = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    (void)entry;
-    ++after;
-  }
-  EXPECT_EQ(after, 1u);
-  std::filesystem::remove_all(dir);
+  (void)cluster.engine().run(Algo::kEdsud, QueryConfig{}, fast);
+  EXPECT_EQ(slowQueryEvents(startNs).size(), 1u);
+  const obs::MetricsSnapshot fastSnapshot =
+      cluster.metricsRegistry().snapshot();
+  EXPECT_EQ(*fastSnapshot.counter(counter), 1u);
 }
 
 }  // namespace

@@ -27,7 +27,6 @@
 //                    [--algo=edsud|dsud|naive] [--m=6] [--q=0.3] [--seed=1]
 //                    [--transport=inproc|tcp] [--site-trace=piggyback|fetch|off]
 //                    [--trace-capacity=65536] [--slow-threshold=0]
-//                    [--slow-dir=<dir>]
 //
 // `metrics` runs one query with full observability enabled and prints the
 // resulting metrics snapshot — Prometheus text exposition by default,
@@ -53,9 +52,9 @@
 // timeline is written as Chrome trace_event JSON that loads directly in
 // Perfetto (https://ui.perfetto.dev) or chrome://tracing.  --transport=tcp
 // runs the cluster over real loopback sockets (one server thread per site)
-// so the trace shows genuine wire latencies.  --slow-threshold/--slow-dir
-// exercise the slow-query log: queries slower than the threshold (seconds)
-// also dump their trace into the directory.
+// so the trace shows genuine wire latencies.  --slow-threshold exercises
+// the slow-query log: a query slower than the threshold (seconds) emits a
+// `query.slow` event and bumps dsud_slow_queries_total.
 //
 // Fault tolerance (`query`): --deadline-ms bounds every RPC, --retries adds
 // that many retry attempts on top of the first try, and
@@ -94,6 +93,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -134,6 +134,14 @@ void saveAny(const Dataset& data, const std::string& path) {
   } else {
     saveDatasetBinary(data, path);
   }
+}
+
+/// Maps an --algo name to its algorithm; nullopt for an unknown name.
+std::optional<Algo> parseAlgo(const std::string& name) {
+  if (name == "edsud") return Algo::kEdsud;
+  if (name == "dsud") return Algo::kDsud;
+  if (name == "naive") return Algo::kNaive;
+  return std::nullopt;
 }
 
 int usage() {
@@ -425,16 +433,12 @@ int cmdQueryConnect(const ArgParser& args) {
   srv::QueryRequest request;
   request.id = args.get("id", "q1");
   const std::string algo = args.get("algo", "edsud");
-  if (algo == "edsud") {
-    request.algo = Algo::kEdsud;
-  } else if (algo == "dsud") {
-    request.algo = Algo::kDsud;
-  } else if (algo == "naive") {
-    request.algo = Algo::kNaive;
-  } else {
+  const std::optional<Algo> parsed = parseAlgo(algo);
+  if (!parsed) {
     std::fprintf(stderr, "query: unknown --algo=%s\n", algo.c_str());
     return 1;
   }
+  request.algo = *parsed;
   request.k = static_cast<std::size_t>(args.getInt("k", 0));
   request.q = args.getDouble("q", request.k > 0 ? 1e-3 : 0.3);
   request.mask = static_cast<DimMask>(args.getInt("mask", 0));
@@ -577,21 +581,17 @@ int cmdQuery(const ArgParser& args) {
     config.k = k;
     config.floorQ = args.getDouble("q", 1e-3);
     config.mask = static_cast<DimMask>(args.getInt("mask", 0));
-    result = cluster.engine().runTopK(config, options);
+    result = cluster.engine().run(config, options);
   } else {
     QueryConfig config;
     config.q = args.getDouble("q", 0.3);
     config.mask = static_cast<DimMask>(args.getInt("mask", 0));
-    if (algo == "edsud") {
-      result = cluster.engine().runEdsud(config, options);
-    } else if (algo == "dsud") {
-      result = cluster.engine().runDsud(config, options);
-    } else if (algo == "naive") {
-      result = cluster.engine().runNaive(config, options);
-    } else {
+    const std::optional<Algo> parsed = parseAlgo(algo);
+    if (!parsed) {
       std::fprintf(stderr, "query: unknown --algo=%s\n", algo.c_str());
       return 1;
     }
+    result = cluster.engine().run(*parsed, config, options);
     sortByGlobalProbability(result.skyline);
   }
 
@@ -761,20 +761,16 @@ int cmdMetrics(const ArgParser& args) {
     TopKConfig config;
     config.k = k;
     config.floorQ = args.getDouble("q", 1e-3);
-    result = cluster.engine().runTopK(config);
+    result = cluster.engine().run(config);
   } else {
     QueryConfig config;
     config.q = args.getDouble("q", 0.3);
-    if (algo == "edsud") {
-      result = cluster.engine().runEdsud(config);
-    } else if (algo == "dsud") {
-      result = cluster.engine().runDsud(config);
-    } else if (algo == "naive") {
-      result = cluster.engine().runNaive(config);
-    } else {
+    const std::optional<Algo> parsed = parseAlgo(algo);
+    if (!parsed) {
       std::fprintf(stderr, "metrics: unknown --algo=%s\n", algo.c_str());
       return 1;
     }
+    result = cluster.engine().run(*parsed, config);
   }
 
   const obs::MetricsSnapshot snapshot =
@@ -800,16 +796,6 @@ int cmdMetrics(const ArgParser& args) {
   return 0;
 }
 
-/// One query by algorithm name; used by `trace` for both transports.
-QueryResult runTracedQuery(QueryEngine& engine, const std::string& algo,
-                           const QueryConfig& config,
-                           const QueryOptions& options) {
-  if (algo == "edsud") return engine.runEdsud(config, options);
-  if (algo == "dsud") return engine.runDsud(config, options);
-  if (algo == "naive") return engine.runNaive(config, options);
-  throw std::runtime_error("trace: unknown --algo=" + algo);
-}
-
 int cmdTrace(const ArgParser& args) {
   const std::string in = args.get("in", "");
   const std::string out = args.get("out", "");
@@ -820,7 +806,12 @@ int cmdTrace(const ArgParser& args) {
   const Dataset data = loadAny(in);
   const auto m = static_cast<std::size_t>(args.getInt("m", 6));
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
-  const std::string algo = args.get("algo", "edsud");
+  const std::optional<Algo> algo = parseAlgo(args.get("algo", "edsud"));
+  if (!algo) {
+    std::fprintf(stderr, "trace: unknown --algo=%s\n",
+                 args.get("algo", "").c_str());
+    return 1;
+  }
   const std::string transportKind = args.get("transport", "inproc");
 
   QueryOptions options;
@@ -839,7 +830,6 @@ int cmdTrace(const ArgParser& args) {
     return 1;
   }
   options.slowQueryThreshold = args.getDouble("slow-threshold", 0.0);
-  options.slowQueryDir = args.get("slow-dir", "");
 
   QueryConfig config;
   config.q = args.getDouble("q", 0.3);
@@ -877,13 +867,13 @@ int cmdTrace(const ArgParser& args) {
     {
       Coordinator coordinator(std::move(handles), &meter, data.dims());
       QueryEngine engine(coordinator);
-      result = runTracedQuery(engine, algo, config, options);
+      result = engine.run(*algo, config, options);
       // Coordinator (and its channels) close here, ending the server loops.
     }
     for (auto& t : threads) t.join();
   } else if (transportKind == "inproc") {
     InProcCluster cluster(Topology::uniform(data, m, seed));
-    result = runTracedQuery(cluster.engine(), algo, config, options);
+    result = cluster.engine().run(*algo, config, options);
   } else {
     std::fprintf(stderr, "trace: unknown --transport=%s\n",
                  transportKind.c_str());
