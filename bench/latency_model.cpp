@@ -7,9 +7,10 @@
 //
 //   sequential — every RPC waits for the previous one:
 //                  T = roundTrips · RTT
-//   pipelined  — the m−1 evaluate RPCs of one feedback phase run in
-//                parallel (QueryOptions::broadcastThreads), prepares and
-//                initial pulls batch likewise:
+//   pipelined  — a hypothetical fan-out where the m−1 evaluate RPCs of
+//                one feedback phase run in parallel, and prepares and
+//                initial pulls batch likewise (the engine itself issues
+//                them one at a time):
 //                  T ≈ (2 + candidatesPulled + broadcasts) · RTT
 //                (one RTT per To-Server pull, one per feedback phase, plus
 //                 one parallel prepare and one parallel initial-pull round)

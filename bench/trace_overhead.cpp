@@ -1,12 +1,12 @@
 // Tracing overhead (acceptance gate for the cross-site tracing work): wall
 // time of the fig09-style workload with tracing fully off, with the default
-// coordinator-only trace, and with each site-trace shipping mode.  The
-// "off" and "coord" columns must stay within noise of each other — the
-// disabled path is one branch per protocol step — while "piggyback" and
-// "fetch" show the real cost of recording and shipping site spans.
+// coordinator-only trace, and with site tracing on.  The "off" and "coord"
+// columns must stay within noise of each other — the disabled path is one
+// branch per protocol step — while "fetch" shows the real cost of recording
+// site spans and pulling them with one kFetchTrace per site.
 //
 // Columns are mean seconds per query; "spans" is the merged span count of
-// the last piggyback run (0 until site tracing is on).
+// the mode's last run.
 //
 // A second panel measures the structured event log and flight recorder the
 // same way: "silent" raises the level gate so every emit is one atomic
@@ -26,14 +26,13 @@ using namespace dsud::bench;
 struct Mode {
   const char* label;
   std::size_t traceCapacity;
-  SiteTraceMode siteTrace;
+  std::size_t siteTraceCapacity;
 };
 
 constexpr Mode kModes[] = {
-    {"off", 0, SiteTraceMode::kOff},
-    {"coord", 65536, SiteTraceMode::kOff},
-    {"piggyback", 65536, SiteTraceMode::kPiggyback},
-    {"fetch", 65536, SiteTraceMode::kFetch},
+    {"off", 0, 0},
+    {"coord", 65536, 0},
+    {"fetch", 65536, 65536},
 };
 
 double meanSeconds(const Dataset& global, std::size_t m, std::size_t repeats,
@@ -41,7 +40,7 @@ double meanSeconds(const Dataset& global, std::size_t m, std::size_t repeats,
                    std::uint64_t seed, std::size_t* spans) {
   QueryOptions options;
   options.traceCapacity = mode.traceCapacity;
-  options.siteTrace = mode.siteTrace;
+  options.siteTraceCapacity = mode.siteTraceCapacity;
   double seconds = 0.0;
   for (std::size_t r = 0; r < repeats; ++r) {
     ClusterConfig clusterConfig;

@@ -143,12 +143,6 @@ FetchTraceResponse FailoverSiteHandle::fetchTrace(
   return active().fetchTrace(request);
 }
 
-void FailoverSiteHandle::setTraceSink(obs::QueryTrace* sink) {
-  // Attach everywhere: whichever replica ends up serving the session must
-  // deliver its piggybacked spans into the same sink.
-  for (const auto& r : replicas_) r->setTraceSink(sink);
-}
-
 std::uint32_t FailoverSiteHandle::lastAttempts() const noexcept {
   return active().lastAttempts();
 }

@@ -56,7 +56,6 @@ class FailoverSiteHandle final : public SiteHandle {
   void replicaRemove(const ReplicaRemoveRequest&) override;
 
   FetchTraceResponse fetchTrace(const FetchTraceRequest&) override;
-  void setTraceSink(obs::QueryTrace* sink) override;
 
   std::uint32_t lastAttempts() const noexcept override;
   std::uint64_t lastNextSeq() const noexcept override;

@@ -48,26 +48,6 @@ void LocalSite::flushTreeMetricsLocked() {
   flushedAccesses_ = now;
 }
 
-void LocalSite::setMaintenanceTrace(std::size_t maxEvents) {
-  std::lock_guard lock(mutex_);
-  maintTracer_ = maxEvents > 0 ? std::make_unique<obs::Tracer>(maxEvents)
-                               : nullptr;
-}
-
-obs::SpanId LocalSite::maintBeginLocked(std::string_view name) {
-  return maintTracer_ != nullptr ? maintTracer_->begin(name, obs::kNoSpan)
-                                 : obs::kNoSpan;
-}
-
-void LocalSite::maintAttrLocked(obs::SpanId span, std::string_view key,
-                                double value) {
-  if (maintTracer_ != nullptr) maintTracer_->attr(span, key, value);
-}
-
-void LocalSite::maintEndLocked(obs::SpanId span) {
-  if (maintTracer_ != nullptr) maintTracer_->end(span);
-}
-
 PrepareResponse LocalSite::prepare(const PrepareRequest& request) {
   if (!(request.q > 0.0) || request.q > 1.0) {
     throw std::invalid_argument("LocalSite::prepare: q must be in (0, 1]");
@@ -94,7 +74,6 @@ PrepareResponse LocalSite::prepare(const PrepareRequest& request) {
   session.window = request.window;
   if (request.traceCapacity > 0) {
     session.tracer = std::make_unique<obs::Tracer>(request.traceCapacity);
-    session.piggyback = request.tracePiggyback;
   }
 
   const std::uint64_t nodesBefore = tree_.nodeAccesses();
@@ -258,24 +237,11 @@ FetchTraceResponse LocalSite::fetchTrace(
     const FetchTraceRequest& request) const {
   std::lock_guard lock(mutex_);
   FetchTraceResponse response;
-  if (request.query == kNoQuery) {
-    if (maintTracer_ != nullptr) response.trace = maintTracer_->snapshot();
-    return response;
-  }
   const auto it = sessions_.find(request.query);
   if (it != sessions_.end() && it->second.tracer) {
     response.trace = it->second.tracer->snapshot();
   }
   return response;
-}
-
-std::optional<obs::QueryTrace> LocalSite::takePiggybackDelta(QueryId query) {
-  std::lock_guard lock(mutex_);
-  const auto it = sessions_.find(query);
-  if (it == sessions_.end() || !it->second.tracer || !it->second.piggyback) {
-    return std::nullopt;
-  }
-  return it->second.tracer->take();
 }
 
 std::size_t LocalSite::pendingCount(QueryId query) const {
@@ -364,7 +330,6 @@ double LocalSite::replicaExternalSurvivalLocked(std::span<const double> v,
 
 ApplyInsertResponse LocalSite::applyInsert(const ApplyInsertRequest& request) {
   std::lock_guard lock(mutex_);
-  const obs::SpanId span = maintBeginLocked("site.insert");
   const Tuple& t = request.tuple;
   tree_.insert(t);
   ++datasetVersion_;
@@ -381,9 +346,6 @@ ApplyInsertResponse LocalSite::applyInsert(const ApplyInsertRequest& request) {
       response.dominatedReplica.push_back(r.entry.tuple.id);
     }
   }
-  maintAttrLocked(span, "dominated_replica",
-                  static_cast<double>(response.dominatedReplica.size()));
-  maintEndLocked(span);
   return response;
 }
 
@@ -392,7 +354,6 @@ ApplyDeleteResponse LocalSite::applyDelete(const ApplyDeleteRequest& request) {
     throw std::invalid_argument("LocalSite::applyDelete: bad dimensionality");
   }
   std::lock_guard lock(mutex_);
-  const obs::SpanId span = maintBeginLocked("site.delete");
   ApplyDeleteResponse response;
   // Recover the probability before erasing (needed by the coordinator to
   // rescale cached global probabilities).
@@ -411,8 +372,6 @@ ApplyDeleteResponse LocalSite::applyDelete(const ApplyDeleteRequest& request) {
     if (response.existed) ++datasetVersion_;
   }
   response.datasetVersion = datasetVersion_;
-  maintAttrLocked(span, "existed", response.existed ? 1.0 : 0.0);
-  maintEndLocked(span);
   return response;
 }
 
@@ -427,8 +386,6 @@ RepairDeleteResponse LocalSite::repairDelete(
     throw std::invalid_argument("LocalSite::repairDelete: bad dimensionality");
   }
   std::lock_guard lock(mutex_);
-  const obs::SpanId span = maintBeginLocked("site.repair");
-  const std::uint64_t nodesBefore = tree_.nodeAccesses();
   RepairDeleteResponse response;
   const Tuple& deleted = request.deleted;
   const double q = request.q;
@@ -462,11 +419,6 @@ RepairDeleteResponse LocalSite::repairDelete(
     c.tuple = Tuple(e.id, std::move(e.values), e.prob);
     response.candidates.push_back(std::move(c));
   }
-  maintAttrLocked(span, "nodes",
-                  static_cast<double>(tree_.nodeAccesses() - nodesBefore));
-  maintAttrLocked(span, "candidates",
-                  static_cast<double>(response.candidates.size()));
-  maintEndLocked(span);
   return response;
 }
 
@@ -475,50 +427,26 @@ void LocalSite::replicaAdd(const ReplicaAddRequest& request) {
     throw std::invalid_argument("LocalSite::replicaAdd: bad dimensionality");
   }
   std::lock_guard lock(mutex_);
-  const obs::SpanId span = maintBeginLocked("site.replica_add");
   // Replace a stale copy if present (re-confirmation after updates).
   for (ReplicaEntry& r : replica_) {
     if (r.entry.tuple.id == request.entry.tuple.id) {
       r.entry = request.entry;
       r.globalSkyProb = request.globalSkyProb;
-      maintAttrLocked(span, "replica", static_cast<double>(replica_.size()));
-      maintEndLocked(span);
       return;
     }
   }
   replica_.push_back(ReplicaEntry{request.entry, request.globalSkyProb});
-  maintAttrLocked(span, "replica", static_cast<double>(replica_.size()));
-  maintEndLocked(span);
 }
 
 void LocalSite::replicaRemove(const ReplicaRemoveRequest& request) {
   std::lock_guard lock(mutex_);
-  const obs::SpanId span = maintBeginLocked("site.replica_remove");
   std::erase_if(replica_, [&](const ReplicaEntry& r) {
     return r.entry.tuple.id == request.id;
   });
-  maintAttrLocked(span, "replica", static_cast<double>(replica_.size()));
-  maintEndLocked(span);
 }
 
 // ---------------------------------------------------------------------------
 // SiteServer dispatch
-
-namespace {
-
-/// Encodes a query response plus, when the session piggybacks, the trailer
-/// carrying the spans it recorded while serving this request.
-template <typename Msg>
-Frame toTracedResponseFrame(LocalSite& site, QueryId query, const Msg& msg) {
-  ByteWriter w;
-  msg.encode(w);
-  if (auto delta = site.takePiggybackDelta(query)) {
-    encodeTraceBlock(w, *delta);
-  }
-  return std::move(w).take();
-}
-
-}  // namespace
 
 Frame SiteServer::handle(const Frame& request) {
   ByteReader r(request);
@@ -527,18 +455,17 @@ Frame SiteServer::handle(const Frame& request) {
     case MsgType::kPrepare: {
       const auto msg = PrepareRequest::decode(r);
       r.expectEnd();
-      return toTracedResponseFrame(*site_, msg.query, site_->prepare(msg));
+      return toResponseFrame(site_->prepare(msg));
     }
     case MsgType::kNextCandidate: {
       const auto msg = NextCandidateRequest::decode(r);
       r.expectEnd();
-      return toTracedResponseFrame(*site_, msg.query,
-                                   site_->nextCandidate(msg));
+      return toResponseFrame(site_->nextCandidate(msg));
     }
     case MsgType::kEvaluate: {
       const auto msg = EvaluateRequest::decode(r);
       r.expectEnd();
-      return toTracedResponseFrame(*site_, msg.query, site_->evaluate(msg));
+      return toResponseFrame(site_->evaluate(msg));
     }
     case MsgType::kFetchTrace: {
       const auto msg = FetchTraceRequest::decode(r);

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -64,12 +63,6 @@ class LocalSite {
   /// protocol calls.
   void setMetrics(obs::MetricsRegistry* registry);
 
-  /// Enables a site-level tracer (capped at `maxEvents` spans; 0 disables)
-  /// for session-less update-maintenance traffic — applyInsert, applyDelete,
-  /// repairDelete, replica ops.  Fetchable with kFetchTrace{query == 0}.
-  /// Wiring-time only: must not race with protocol calls.
-  void setMaintenanceTrace(std::size_t maxEvents);
-
   // --- Query protocol ------------------------------------------------------
 
   /// Local computing phase (framework step 1): computes SKY(D_i) = {t :
@@ -94,15 +87,10 @@ class LocalSite {
   /// Drops the session state of one query (idempotent).
   void finishQuery(const FinishQueryRequest& request);
 
-  /// Snapshot of one session's span timeline (or of the maintenance
-  /// timeline for query == kNoQuery).  Non-clearing, so a retried fetch is
-  /// idempotent; spans are released by finishQuery with the session.
+  /// Snapshot of one session's span timeline (empty for an unknown or
+  /// untraced session).  Non-clearing, so a retried fetch is idempotent;
+  /// spans are released by finishQuery with the session.
   FetchTraceResponse fetchTrace(const FetchTraceRequest& request) const;
-
-  /// Moves the spans recorded since the last call out of `query`'s session
-  /// tracer — the piggyback trailer SiteServer appends to query responses.
-  /// nullopt when the session doesn't exist or doesn't piggyback.
-  std::optional<obs::QueryTrace> takePiggybackDelta(QueryId query);
 
   // --- Elastic membership (online join / leave) ----------------------------
 
@@ -189,16 +177,10 @@ class LocalSite {
     NextCandidateResponse lastNext;
     std::uint64_t lastEvalSeq = 0;       // replay cache: kEvaluate
     EvaluateResponse lastEval;
-    /// Session span timeline (null when the query doesn't trace).  Spans
-    /// are flat (no nesting) so piggyback deltas need no id translation.
+    /// Session span timeline (null when the query doesn't trace), read
+    /// by kFetchTrace before kFinishQuery releases it.
     std::unique_ptr<obs::Tracer> tracer;
-    bool piggyback = false;  // ship spans as response trailers vs kFetchTrace
   };
-
-  // Maintenance-tracer helpers (no-ops when setMaintenanceTrace is off).
-  obs::SpanId maintBeginLocked(std::string_view name);
-  void maintAttrLocked(obs::SpanId span, std::string_view key, double value);
-  void maintEndLocked(obs::SpanId span);
 
   SiteId id_;
   PRTree tree_;
@@ -213,7 +195,6 @@ class LocalSite {
   std::unordered_map<QueryId, Session> sessions_;
   std::vector<ReplicaEntry> replica_;
   std::uint64_t datasetVersion_ = 0;  // mutations applied to tree_
-  std::unique_ptr<obs::Tracer> maintTracer_;  // session-less maintenance ops
 
   // Observability (null when no registry is attached).
   obs::Counter* nodeAccesses_ = nullptr;

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iterator>
 #include <optional>
 #include <vector>
 
@@ -134,9 +133,8 @@ Tuple decodeTuple(ByteReader& r);
 void encodeOptionalRect(ByteWriter& w, const std::optional<Rect>& rect);
 std::optional<Rect> decodeOptionalRect(ByteReader& r);
 
-/// Trace block: the wire form of a site-side span list.  Used both as the
-/// kFetchTrace response body and as the optional piggyback trailer appended
-/// after query-response bodies (u32 count, the events, u64 dropped).
+/// Trace block: the wire form of a site-side span list, used as the
+/// kFetchTrace response body (u32 count, the events, u64 dropped).
 void encodeTraceBlock(ByteWriter& w, const obs::QueryTrace& trace);
 obs::QueryTrace decodeTraceBlock(ByteReader& r);
 
@@ -167,13 +165,10 @@ struct PrepareRequest {
   PruneRule prune = PruneRule::kThresholdBound;
   std::optional<Rect> window;  ///< constrained-query window
   /// Site-side tracing for this session: 0 leaves the session tracer
-  /// disabled (responses stay byte-identical to untraced runs); otherwise
-  /// the site records up to this many spans.
+  /// disabled; otherwise the site records up to this many spans, which
+  /// accumulate until a kFetchTrace.  Responses are byte-identical either
+  /// way.
   std::uint32_t traceCapacity = 0;
-  /// When true (and traceCapacity > 0) the site appends its newly recorded
-  /// spans as a trace-block trailer on every query response of this session;
-  /// when false they accumulate until a kFetchTrace.
-  bool tracePiggyback = false;
 
   void encode(ByteWriter& w) const;
   static PrepareRequest decode(ByteReader& r);
@@ -254,7 +249,6 @@ struct ShipAllResponse {
 /// Pulls one session's site-side span timeline.  The read is a snapshot —
 /// it does not clear the site tracer — so a retried fetch is idempotent;
 /// kFinishQuery releases the tracer with the rest of the session state.
-/// `query == kNoQuery` fetches the site-level maintenance timeline instead.
 struct FetchTraceRequest {
   QueryId query = kNoQuery;
 
@@ -441,27 +435,6 @@ Msg fromResponseFrame(const Frame& frame) {
   ByteReader r(frame);
   Msg msg = Msg::decode(r);
   r.expectEnd();
-  return msg;
-}
-
-/// Decodes a response frame that may carry a piggybacked trace-block
-/// trailer (query responses of a session prepared with tracePiggyback).
-/// The trailer's spans are appended to `*sink`; a frame without a trailer
-/// (e.g. the session is gone at the site) decodes like fromResponseFrame.
-template <typename Msg>
-Msg fromResponseFrameWithTrace(const Frame& frame, obs::QueryTrace* sink) {
-  ByteReader r(frame);
-  Msg msg = Msg::decode(r);
-  if (!r.atEnd()) {
-    obs::QueryTrace delta = decodeTraceBlock(r);
-    r.expectEnd();
-    if (sink != nullptr) {
-      sink->events.insert(sink->events.end(),
-                          std::make_move_iterator(delta.events.begin()),
-                          std::make_move_iterator(delta.events.end()));
-      sink->droppedEvents += delta.droppedEvents;
-    }
-  }
   return msg;
 }
 

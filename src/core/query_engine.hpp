@@ -90,9 +90,7 @@ class QueryEngine {
 
   /// Enqueues a threshold query on the engine's pool and returns
   /// immediately.  The config and options are copied into the session, so
-  /// the caller's may go out of scope.  Broadcast workers
-  /// (options.broadcastThreads) are session-private and never borrowed from
-  /// the submit pool, so submitted queries cannot deadlock it.
+  /// the caller's may go out of scope.
   ///
   /// When `options.batching.enabled` and the query is share-eligible, it
   /// parks in the batching window instead: compatible queries submitted

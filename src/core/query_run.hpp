@@ -2,15 +2,14 @@
 //
 // One QueryRun is one session: it owns everything that was once
 // coordinator-global — the monotonic clock, the bandwidth scope, the
-// protocol timeline, the progress callback, the broadcast workers, and the
-// per-query site views — so N runs execute concurrently over one cluster
-// without sharing mutable state.  Construction opens the session (per-query
-// SiteHandle views, in-flight gauge); finalize() (or unwinding) releases the
-// site-side state with kFinishQuery.  Not part of the public API.
+// protocol timeline, the progress callback, and the per-query site views —
+// so N runs execute concurrently over one cluster without sharing mutable
+// state.  Construction opens the session (per-query SiteHandle views,
+// in-flight gauge); finalize() (or unwinding) releases the site-side state
+// with kFinishQuery.  Not part of the public API.
 #pragma once
 
 #include <algorithm>
-#include <exception>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "common/stopwatch.hpp"
-#include "common/thread_pool.hpp"
 #include "core/coordinator.hpp"
 #include "core/failover.hpp"
 #include "obs/log.hpp"
@@ -41,17 +39,6 @@ struct QueryRun {
   /// stats are the sum over chains — integer sums, so bit-identical to the
   /// former single-scope accounting.
   std::vector<std::unique_ptr<QueryUsage>> siteUsage;
-  /// Coordinator-thread tallies, parallel to `sessions` (the pooled
-  /// broadcast path drains its futures on this thread, so plain integers
-  /// suffice): To-Server pulls, candidates returned, Local-Pruning victims,
-  /// retried transport attempts.
-  struct SiteTally {
-    std::uint64_t rounds = 0;
-    std::uint64_t candidates = 0;
-    std::uint64_t pruned = 0;
-    std::uint64_t retries = 0;
-  };
-  std::vector<SiteTally> tallies;
   Stopwatch watch;   ///< session-owned monotonic clock
   double prepareDoneSeconds = 0.0;  ///< stamp at end of prepareAll
   obs::Tracer tracer;
@@ -65,14 +52,9 @@ struct QueryRun {
   /// traffic flows through these so it lands in `usage`.
   std::vector<std::unique_ptr<SiteHandle>> sessions;
   /// Site-side span timelines, parallel to `sessions` (empty when site
-  /// tracing is off).  Piggyback mode streams into these via the handles'
-  /// trace sinks; fetch mode fills them at finish() time.  Addresses must
-  /// stay stable — sized once in the constructor, never resized.
+  /// tracing is off), filled by one kFetchTrace per site at finish() time.
   std::vector<obs::QueryTrace> siteTraces;
   const char* algo;  ///< instrument label; also names slow-query dumps
-  /// Session-private broadcast workers (never the engine's submit pool, so
-  /// submitted queries cannot starve each other).
-  std::unique_ptr<ThreadPool> broadcastPool;
   bool sessionsOpen = false;  ///< prepare sent; sites hold state under `id`
   /// Sites excluded from this run after exhausting their retry budget
   /// (QueryOptions::fault.onSiteFailure == kDegrade only; under kFail the
@@ -123,21 +105,15 @@ struct QueryRun {
             chain.partition, std::move(replicas), c.metrics()));
       }
     }
-    tallies.resize(sessions.size());
-    // Site tracing needs a coordinator trace to merge into; piggybacked
-    // spans stream into per-site sinks while the query runs, fetched spans
-    // arrive in one kFetchTrace per site at finish() time.
-    if (options.traceCapacity > 0 &&
-        options.siteTrace != SiteTraceMode::kOff) {
-      siteTraces.resize(sessions.size());
-      if (options.siteTrace == SiteTraceMode::kPiggyback) {
-        for (std::size_t i = 0; i < sessions.size(); ++i) {
-          sessions[i]->setTraceSink(&siteTraces[i]);
-        }
-      }
+    // One EXPLAIN row per chain, parallel to `sessions`: the protocol
+    // steps count into it as they happen; buildProfile adds the wire totals.
+    result.profile.sites.resize(sessions.size());
+    for (std::size_t i = 0; i < sessions.size(); ++i) {
+      result.profile.sites[i].site = sessions[i]->siteId();
     }
-    if (options.broadcastThreads > 0 && sessions.size() > 2) {
-      broadcastPool = std::make_unique<ThreadPool>(options.broadcastThreads);
+    // Site tracing needs a coordinator trace to merge into.
+    if (options.traceCapacity > 0 && options.siteTraceCapacity > 0) {
+      siteTraces.resize(sessions.size());
     }
     root = tracer.begin(std::string("query.") + algo);
     if (obs::MetricsRegistry* reg = coord.metrics(); reg != nullptr) {
@@ -195,11 +171,11 @@ struct QueryRun {
   /// only by these attrs.  The breaker comes from the session handle itself
   /// (the active replica's, under failover) — positional coordinator
   /// lookups are not stable once sites join and leave.  Also folds the
-  /// extra attempts into the session's per-site retry tally (profile).
+  /// extra attempts into the site's profile row.
   void annotateRetries(obs::TraceSpan& rpc, std::size_t index) {
     const SiteHandle& handle = *sessions[index];
     if (const std::uint32_t attempts = handle.lastAttempts(); attempts > 1) {
-      tallies[index].retries += attempts - 1;
+      result.profile.sites[index].retries += attempts - 1;
       rpc.attr("attempts", attempts);
       if (const SiteHealth* health = handle.sessionHealth();
           health != nullptr) {
@@ -242,14 +218,12 @@ struct QueryRun {
   /// that did prepare.  In degraded mode an unreachable site is excluded
   /// instead of failing the query; only losing *every* site is fatal.
   /// When site tracing is on, the request is stamped with the session's
-  /// trace capacity and shipping mode before it goes out.
+  /// trace capacity before it goes out.
   void prepareAll(PrepareRequest request) {
     if (siteTracing()) {
       request.traceCapacity = static_cast<std::uint32_t>(std::min<
           std::size_t>(options.siteTraceCapacity,
                        std::numeric_limits<std::uint32_t>::max()));
-      request.tracePiggyback =
-          options.siteTrace == SiteTraceMode::kPiggyback;
     }
     sessionsOpen = true;
     for (std::size_t i = 0; i < sessions.size(); ++i) {
@@ -273,14 +247,14 @@ struct QueryRun {
   /// Releases the site-side session state (kFinishQuery, idempotent).
   /// Exceptions are swallowed: finish is cleanup, and the sites drop
   /// unknown ids anyway.  Dead sites are skipped — their retry budget was
-  /// already spent detecting the failure.  In fetch-mode site tracing this
-  /// is the last chance to read the site-side spans (kFinishQuery destroys
-  /// the session tracer with the rest of the session), so every live site
-  /// gets one best-effort kFetchTrace first.
+  /// already spent detecting the failure.  With site tracing on this is the
+  /// last chance to read the site-side spans (kFinishQuery destroys the
+  /// session tracer with the rest of the session), so every live site gets
+  /// one best-effort kFetchTrace first.
   void finish() noexcept {
     if (!sessionsOpen) return;
     sessionsOpen = false;
-    if (options.siteTrace == SiteTraceMode::kFetch && siteTracing()) {
+    if (siteTracing()) {
       const FetchTraceRequest fetch{id};
       for (std::size_t i = 0; i < sessions.size(); ++i) {
         if (isDead(sessions[i]->siteId())) continue;
@@ -304,99 +278,39 @@ struct QueryRun {
   }
 
   /// Broadcasts `c.tuple` to every site except its origin and multiplies
-  /// the returned survival factors onto the local probability (Lemma 1).
-  /// With a broadcast pool, the m−1 RPCs fan out in parallel; factors are
-  /// still reduced in site order, so the floating-point product (and every
-  /// downstream decision) is identical to the sequential path.
+  /// the returned survival factors onto the local probability (Lemma 1),
+  /// one site at a time in site order.
   ///
   /// In degraded mode a site failing its broadcast is excluded and its
   /// survival factor skipped — the candidate's probability is then exact
   /// over the survivors.  Under kFail the SiteFailure propagates.
   ///
   /// Each per-site round trip gets an "rpc.evaluate" span hung off
-  /// `broadcastSpan` (the caller's "broadcast" span).  The explicit parent
-  /// matters on the pooled path: spans are begun on *this* thread in site
-  /// order — so the timeline is deterministic — while the RPCs complete on
-  /// workers in any order, and an implicit parent would be whichever span
-  /// happened to be open.  A pooled span brackets submit-to-drain rather
-  /// than the wire time alone; the merge's min-delay offset sampling
-  /// discounts such inflated samples automatically.
+  /// `broadcastSpan` (the caller's "broadcast" span).
   double evaluateGlobally(const Candidate& c, bool pruneLocal, DimMask mask,
                           const std::optional<Rect>& window,
                           obs::SpanId broadcastSpan = obs::kNoSpan) {
-    QueryStats& stats = result.stats;
     double globalSkyProb = c.localSkyProb;
     const EvaluateRequest request{id, c.tuple, mask, pruneLocal, window};
-
-    if (broadcastPool != nullptr) {
-      struct Pending {
-        std::size_t index;
-        SiteId site;
-        obs::TraceSpan rpc;
-        std::future<EvaluateResponse> future;
-      };
-      std::vector<Pending> responses;
-      responses.reserve(sessions.size());
-      for (std::size_t i = 0; i < sessions.size(); ++i) {
-        const auto& s = sessions[i];
-        if (s->siteId() == c.site || isDead(s->siteId())) continue;
-        obs::TraceSpan rpc(tracer, "rpc.evaluate", broadcastSpan);
-        rpc.attr("site", s->siteId());
-        responses.push_back(Pending{
-            i, s->siteId(), std::move(rpc),
-            broadcastPool->submit(
-                [&site = *s, &request] { return site.evaluate(request); })});
-      }
-      // Drain every future before any rethrow: the workers capture the
-      // stack-allocated request by reference.
-      std::vector<SiteId> failed;
-      std::exception_ptr fatal;
-      for (auto& p : responses) {
-        try {
-          const EvaluateResponse r = p.future.get();
-          if (siteTracing()) {
-            p.rpc.attr("seq",
-                       static_cast<double>(sessions[p.index]->lastEvalSeq()));
-          }
-          annotateRetries(p.rpc, p.index);
-          p.rpc.close();
-          globalSkyProb *= r.survival;
-          stats.prunedAtSites += r.prunedCount;
-          tallies[p.index].pruned += r.prunedCount;
-        } catch (const NetError&) {
-          if (degradeOk()) {
-            failed.push_back(p.site);
-          } else if (!fatal) {
-            fatal = std::current_exception();
-          }
-        } catch (...) {
-          if (!fatal) fatal = std::current_exception();
+    for (std::size_t i = 0; i < sessions.size(); ++i) {
+      const auto& s = sessions[i];
+      if (s->siteId() == c.site || isDead(s->siteId())) continue;
+      obs::TraceSpan rpc(tracer, "rpc.evaluate", broadcastSpan);
+      rpc.attr("site", s->siteId());
+      try {
+        const EvaluateResponse r = s->evaluate(request);
+        if (siteTracing()) {
+          rpc.attr("seq", static_cast<double>(s->lastEvalSeq()));
         }
-      }
-      if (fatal) std::rethrow_exception(fatal);
-      for (const SiteId site : failed) markDead(site);
-    } else {
-      for (std::size_t i = 0; i < sessions.size(); ++i) {
-        const auto& s = sessions[i];
-        if (s->siteId() == c.site || isDead(s->siteId())) continue;
-        obs::TraceSpan rpc(tracer, "rpc.evaluate", broadcastSpan);
-        rpc.attr("site", s->siteId());
-        try {
-          const EvaluateResponse r = s->evaluate(request);
-          if (siteTracing()) {
-            rpc.attr("seq", static_cast<double>(s->lastEvalSeq()));
-          }
-          annotateRetries(rpc, i);
-          globalSkyProb *= r.survival;
-          stats.prunedAtSites += r.prunedCount;
-          tallies[i].pruned += r.prunedCount;
-        } catch (const NetError&) {
-          if (!degradeOk()) throw;
-          markDead(s->siteId());
-        }
+        annotateRetries(rpc, i);
+        globalSkyProb *= r.survival;
+        result.profile.sites[i].pruned += r.prunedCount;
+      } catch (const NetError&) {
+        if (!degradeOk()) throw;
+        markDead(s->siteId());
       }
     }
-    ++stats.broadcasts;
+    ++result.stats.broadcasts;
     return globalSkyProb;
   }
 
@@ -413,7 +327,8 @@ struct QueryRun {
     pullSpan.attr("site", site);
     try {
       auto response = handle.nextCandidate(cursor);
-      ++tallies[index].rounds;
+      SiteProfile& row = result.profile.sites[index];
+      ++row.rounds;
       if (siteTracing()) {
         // Matches this round trip to the site-side "site.next" span carrying
         // the same sequence number (see obs::mergeSiteTraces).
@@ -421,7 +336,7 @@ struct QueryRun {
       }
       annotateRetries(pullSpan, index);
       if (!response.candidate) return std::nullopt;
-      ++tallies[index].candidates;
+      ++row.candidates;
       countPull(stats);
       return std::move(response.candidate);
     } catch (const NetError&) {
@@ -527,10 +442,11 @@ struct QueryRun {
     result.stats.tuplesShipped = totals.tuples;
     result.stats.bytesShipped = totals.bytes;
     result.stats.roundTrips = totals.calls;
+    for (const SiteProfile& site : result.profile.sites) {
+      result.stats.prunedAtSites += site.pruned;
+    }
     if (queries != nullptr) {
       queries->inc();
-      // prunedAtSites accumulates inside evaluateGlobally; fold the query's
-      // total into the counter here rather than threading a hook through.
       sitePrunes->add(result.stats.prunedAtSites);
       queryLatency->observe(result.stats.seconds);
     }
@@ -550,10 +466,10 @@ struct QueryRun {
     return std::move(result);
   }
 
-  /// Assembles the EXPLAIN/ANALYZE profile from the per-chain usage scopes
-  /// and coordinator-thread tallies.  Cheap (one small vector per query) and
-  /// unconditional — whether the client *sees* it is the protocol's choice,
-  /// so answers are bit-identical with profiling on or off.
+  /// Completes the EXPLAIN/ANALYZE profile: phase times, plus each site
+  /// row's wire totals from its usage scope and its failover state.  Cheap
+  /// and unconditional — whether the client *sees* it is the protocol's
+  /// choice, so answers are bit-identical with profiling on or off.
   void buildProfile(double executeDone) {
     QueryProfile& p = result.profile;
     p.algo = algo;
@@ -561,21 +477,14 @@ struct QueryRun {
     p.executeSeconds = std::max(0.0, executeDone - prepareDoneSeconds);
     p.finalizeSeconds =
         std::max(0.0, result.stats.seconds - executeDone);
-    p.sites.reserve(sessions.size());
     for (std::size_t i = 0; i < sessions.size(); ++i) {
-      SiteProfile site;
-      site.site = sessions[i]->siteId();
+      SiteProfile& site = p.sites[i];
       const UsageTotals t = siteUsage[i]->totals();
       site.tuples = t.tuples;
       site.bytes = t.bytes;
-      site.rounds = tallies[i].rounds;
-      site.candidates = tallies[i].candidates;
-      site.pruned = tallies[i].pruned;
-      site.retries = tallies[i].retries;
       site.failovers = sessions[i]->failovers();
       site.dead = isDead(site.site);
       p.failovers += site.failovers;
-      p.sites.push_back(std::move(site));
     }
   }
 

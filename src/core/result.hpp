@@ -140,19 +140,6 @@ enum class Algo {
   kEdsud,  ///< Sec. 5.2: + global-probability upper bounds and expunging
 };
 
-/// How site-side spans travel back to the coordinator.  kOff keeps the wire
-/// encoding byte-identical to untraced runs (the default, so bandwidth
-/// comparisons between transports stay exact).  kPiggyback appends each
-/// session's new spans as a trailer on every query response — cheap for
-/// in-process channels, adds per-response bytes on TCP.  kFetch leaves
-/// responses untouched and pulls the whole site trace with one kFetchTrace
-/// RPC per site at finishQuery time.
-enum class SiteTraceMode {
-  kOff,
-  kPiggyback,
-  kFetch,
-};
-
 /// Opt-in shared-work execution (QueryEngine::submit): a submitted
 /// query waits up to `windowSeconds` for compatible queries — same
 /// algorithm, subspace, window, and execution knobs; any thresholds — and
@@ -171,8 +158,8 @@ struct BatchingOptions {
 
 /// Per-query execution options, immutable for the lifetime of the query.
 /// Everything that was once mutable coordinator-wide state (progress
-/// callback, trace capacity, broadcast parallelism) lives here so N queries
-/// can run concurrently with independent settings.
+/// callback, trace capacity) lives here so N queries can run concurrently
+/// with independent settings.
 struct QueryOptions {
   /// Invoked from the running query's thread as each answer qualifies.
   ProgressCallback progress;
@@ -189,24 +176,19 @@ struct QueryOptions {
   /// retained span.
   std::size_t traceCapacity = 65536;
 
-  /// Feedback broadcasts fan out over this many session-private workers
-  /// instead of sequentially (0 = sequential).  Survival factors are still
-  /// reduced in site order, so results stay bit-for-bit deterministic.
-  std::size_t broadcastThreads = 0;
-
   /// Fault handling for this query: per-call deadline, retry budget, and
   /// what to do when a site stays unreachable after retries.  The defaults
   /// (no deadline, single attempt, kFail) reproduce fail-fast behaviour:
   /// the first transport error aborts the query with SiteFailure.
   FaultOptions fault;
 
-  /// Site-side span collection (see SiteTraceMode).  Ignored when
-  /// `traceCapacity == 0` — without a coordinator trace there is nothing to
-  /// merge site spans into.
-  SiteTraceMode siteTrace = SiteTraceMode::kOff;
-
-  /// Caps each site session's tracer (same semantics as traceCapacity).
-  std::size_t siteTraceCapacity = 65536;
+  /// Caps each site session's tracer at this many spans (0, the default,
+  /// disables site tracing).  Site spans leave the sites in one kFetchTrace
+  /// RPC per live site at finish time, so query responses stay
+  /// byte-identical either way; tracing costs exactly one extra round trip
+  /// per site.  Ignored when `traceCapacity == 0` — without a coordinator
+  /// trace there is nothing to merge site spans into.
+  std::size_t siteTraceCapacity = 0;
 
   /// When > 0 and the query's wall time exceeds this many seconds, the run
   /// emits a `query.slow` event and counts in dsud_slow_queries_total.

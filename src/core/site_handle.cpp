@@ -115,18 +115,10 @@ void RpcSiteHandle::countTuples(std::uint64_t toSite, std::uint64_t fromSite) {
   if (scope_ != nullptr) scope_->recordTuples(toSite + fromSite);
 }
 
-template <typename Msg>
-Msg RpcSiteHandle::decodeResponse(const Frame& frame) {
-  if (traceSink_ != nullptr) {
-    return fromResponseFrameWithTrace<Msg>(frame, traceSink_);
-  }
-  return fromResponseFrame<Msg>(frame);
-}
-
 PrepareResponse RpcSiteHandle::prepare(const PrepareRequest& request) {
   // Idempotent: a replayed kPrepare replaces the session wholesale.
   const Frame response = retryingRoundTrip(toFrame(MsgType::kPrepare, request));
-  return decodeResponse<PrepareResponse>(response);
+  return fromResponseFrame<PrepareResponse>(response);
 }
 
 NextCandidateResponse RpcSiteHandle::nextCandidate(
@@ -138,7 +130,7 @@ NextCandidateResponse RpcSiteHandle::nextCandidate(
   numbered.seq = ++nextSeq_;
   const Frame response =
       retryingRoundTrip(toFrame(MsgType::kNextCandidate, numbered));
-  auto msg = decodeResponse<NextCandidateResponse>(response);
+  auto msg = fromResponseFrame<NextCandidateResponse>(response);
   countTuples(0, msg.candidate.has_value() ? 1 : 0);
   return msg;
 }
@@ -152,7 +144,7 @@ EvaluateResponse RpcSiteHandle::evaluate(const EvaluateRequest& request) {
   const Frame response =
       retryingRoundTrip(toFrame(MsgType::kEvaluate, numbered));
   countTuples(1, 0);
-  return decodeResponse<EvaluateResponse>(response);
+  return fromResponseFrame<EvaluateResponse>(response);
 }
 
 ShipAllResponse RpcSiteHandle::shipAll() {

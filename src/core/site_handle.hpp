@@ -60,17 +60,16 @@ class SiteHandle {
     throw std::logic_error("SiteHandle: leaveSite not supported");
   }
 
-  /// Pulls the site-side span timeline of one session (SiteTraceMode::
-  /// kFetch).  Non-transport implementations have no remote timeline and
-  /// return an empty trace.
+  /// Pulls the site-side span timeline of one session (site tracing, at
+  /// finish time).  Non-transport implementations have no remote timeline
+  /// and return an empty trace.
   virtual FetchTraceResponse fetchTrace(const FetchTraceRequest&) {
     return {};
   }
 
-  /// Directs piggybacked site spans into `sink` (null detaches): when set,
-  /// query responses are decoded expecting the optional trace-block trailer
-  /// and its spans are appended to the sink.  Session-confined, like the
-  /// handle: the sink is read by the owning query only after its last RPC.
+  /// Empty hook, kept because existing SiteHandle decorators (the
+  /// benchmark's timing wrapper) override it.  Site spans travel only by
+  /// fetchTrace, so the library never calls it.
   virtual void setTraceSink(obs::QueryTrace* /*sink*/) {}
 
   /// Opens a per-query view of this site whose traffic is additionally
@@ -160,7 +159,6 @@ class RpcSiteHandle final : public SiteHandle {
   LeaveSiteResponse leaveSite(const LeaveSiteRequest&) override;
 
   FetchTraceResponse fetchTrace(const FetchTraceRequest& request) override;
-  void setTraceSink(obs::QueryTrace* sink) override { traceSink_ = sink; }
 
   std::unique_ptr<SiteHandle> openSession(QueryUsage* scope) override;
   std::unique_ptr<SiteHandle> openSession(QueryUsage* scope,
@@ -187,11 +185,6 @@ class RpcSiteHandle final : public SiteHandle {
   Frame retryingRoundTrip(const Frame& request);
   void countTuples(std::uint64_t toSite, std::uint64_t fromSite);
 
-  /// Decodes a query response, consuming a piggyback trailer into the trace
-  /// sink when one is attached and the frame carries one.
-  template <typename Msg>
-  Msg decodeResponse(const Frame& frame);
-
   SiteId site_;
   std::shared_ptr<ChannelPool> pool_;
   BandwidthMeter* meter_;   // may be null (no accounting)
@@ -207,7 +200,6 @@ class RpcSiteHandle final : public SiteHandle {
   std::uint32_t lastAttempts_ = 1;
   obs::Counter* retries_ = nullptr;   // dsud_retries_total{site}
   obs::Counter* timeouts_ = nullptr;  // dsud_timeouts_total{site}
-  obs::QueryTrace* traceSink_ = nullptr;  // piggybacked site spans land here
 };
 
 }  // namespace dsud

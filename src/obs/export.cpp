@@ -81,6 +81,12 @@ void appendJsonEscaped(std::string& out, std::string_view text) {
       case '\\':
         out += "\\\\";
         break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
+        break;
       case '\n':
         out += "\\n";
         break;

@@ -41,7 +41,8 @@ std::string traceToJson(const QueryTrace& trace);
 std::string traceToPerfetto(const QueryTrace& trace);
 
 /// Appends `text` with JSON string escaping (quotes, backslashes, control
-/// characters) — shared with anything hand-rolling JSON around the library.
+/// characters; the short forms where JSON has one) — the one escaper every
+/// JSON writer in the tree uses, the dsudd protocol's included.
 void appendJsonEscaped(std::string& out, std::string_view text);
 
 }  // namespace dsud::obs

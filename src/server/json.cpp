@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "obs/export.hpp"
+
 namespace dsud::server {
 
 namespace {
@@ -286,26 +288,7 @@ bool isValidUtf8(std::string_view text) {
 
 void appendJsonString(std::string& out, std::string_view text) {
   out += '"';
-  for (const char ch : text) {
-    const unsigned char c = static_cast<unsigned char>(ch);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
+  obs::appendJsonEscaped(out, text);
   out += '"';
 }
 

@@ -166,8 +166,8 @@ TEST(ConcurrentQueriesTest, ThreadsHammeringOneClusterSeeNoBleed) {
 }
 
 TEST(ConcurrentQueriesTest, PerQueryOptionsStayPerQuery) {
-  // One session traces and fans its broadcasts out over 4 workers, the
-  // other runs silent and sequential — concurrently, over the same sites.
+  // One session traces, the other runs silent — concurrently, over the
+  // same sites.
   const Dataset global = generateSynthetic(
       SyntheticSpec{1200, 3, ValueDistribution::kIndependent, 2220});
   InProcCluster shared(Topology::uniform(global, 6, 2221));
@@ -175,7 +175,6 @@ TEST(ConcurrentQueriesTest, PerQueryOptionsStayPerQuery) {
 
   QueryConfig config;
   QueryOptions traced;
-  traced.broadcastThreads = 4;
   QueryOptions silent;
   silent.traceCapacity = 0;
 

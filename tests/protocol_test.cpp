@@ -56,14 +56,11 @@ TEST(ProtocolTest, PrepareRequestCarriesTraceSettings) {
   PrepareRequest msg;
   msg.query = 9;
   msg.traceCapacity = 4096;
-  msg.tracePiggyback = true;
   const PrepareRequest out = reencode(msg);
   EXPECT_EQ(out.traceCapacity, 4096u);
-  EXPECT_TRUE(out.tracePiggyback);
-  // The defaults (tracing off) must survive the wire too.
+  // The default (tracing off) must survive the wire too.
   const PrepareRequest off = reencode(PrepareRequest{});
   EXPECT_EQ(off.traceCapacity, 0u);
-  EXPECT_FALSE(off.tracePiggyback);
 }
 
 obs::QueryTrace sampleTrace() {
@@ -127,39 +124,6 @@ TEST(ProtocolTest, FetchTraceMessagesRoundTrip) {
   const FetchTraceResponse out = FetchTraceResponse::decode(r);
   r.expectEnd();
   expectTraceEq(out.trace, resp.trace);
-}
-
-TEST(ProtocolTest, ResponseFrameWithAndWithoutTraceTrailer) {
-  NextCandidateResponse msg;
-  msg.candidate = Candidate{3, sampleTuple(), 0.5};
-
-  // No trailer: decodes exactly like fromResponseFrame; sink untouched.
-  const Frame bare = toResponseFrame(msg);
-  obs::QueryTrace sink;
-  const auto plain = fromResponseFrameWithTrace<NextCandidateResponse>(
-      bare, &sink);
-  ASSERT_TRUE(plain.candidate.has_value());
-  EXPECT_EQ(plain.candidate->tuple, sampleTuple());
-  EXPECT_TRUE(sink.empty());
-
-  // Trailer: spans append to the sink, dropped counts accumulate.
-  ByteWriter w;
-  msg.encode(w);
-  encodeTraceBlock(w, sampleTrace());
-  const Frame traced{w.bytes().begin(), w.bytes().end()};
-  const auto decoded = fromResponseFrameWithTrace<NextCandidateResponse>(
-      traced, &sink);
-  ASSERT_TRUE(decoded.candidate.has_value());
-  expectTraceEq(sink, sampleTrace());
-  const auto again = fromResponseFrameWithTrace<NextCandidateResponse>(
-      traced, &sink);
-  EXPECT_EQ(sink.events.size(), 4u);
-  EXPECT_EQ(sink.droppedEvents, 14u);
-
-  // A null sink discards the trailer without failing the decode.
-  const auto dropped = fromResponseFrameWithTrace<NextCandidateResponse>(
-      traced, nullptr);
-  EXPECT_TRUE(dropped.candidate.has_value());
 }
 
 TEST(ProtocolTest, NextCandidateRequestCarriesQueryId) {

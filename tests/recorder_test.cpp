@@ -82,11 +82,12 @@ TEST(EventNdjsonTest, RendersReservedKeysAndTypedFields) {
 TEST(EventNdjsonTest, EscapesStringsAndSanitisesNonFiniteNumbers) {
   obs::Event event = makeEvent("weird", 1);
   event.component = "a\"b";
-  event.fields.push_back(obs::field("path", "C:\\tmp\nx\t\x01"));
+  event.fields.push_back(obs::field("path", "C:\\tmp\nx\t\x01\b\f"));
   event.fields.push_back(obs::field("nan", 0.0 / 0.0));
   const std::string line = obs::eventToNdjson(event);
   EXPECT_NE(line.find(R"("component":"a\"b")"), std::string::npos);
-  EXPECT_NE(line.find(R"("path":"C:\\tmp\nx\t\u0001")"), std::string::npos);
+  EXPECT_NE(line.find(R"("path":"C:\\tmp\nx\t\u0001\b\f")"),
+            std::string::npos);
   EXPECT_NE(line.find(R"("nan":null)"), std::string::npos)
       << "NaN must render as null, not break the JSON document: " << line;
 }

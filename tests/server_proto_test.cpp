@@ -36,10 +36,11 @@ TEST(JsonTest, ScalarRoundTrips) {
 TEST(JsonTest, StringEscapes) {
   const Json v = Json::parse(R"("a\"b\\c\ndAé")");
   EXPECT_EQ(v.asString(), "a\"b\\c\ndA\xc3\xa9");
-  // Control characters re-escape on dump.
-  Json s(std::string("x\ty\n"));
-  EXPECT_EQ(s.dump(), "\"x\\ty\\n\"");
-  EXPECT_EQ(Json::parse(s.dump()).asString(), "x\ty\n");
+  // Control characters re-escape on dump, in the short form where JSON
+  // has one.
+  Json s(std::string("x\ty\n\b\f\x01"));
+  EXPECT_EQ(s.dump(), "\"x\\ty\\n\\b\\f\\u0001\"");
+  EXPECT_EQ(Json::parse(s.dump()).asString(), "x\ty\n\b\f\x01");
 }
 
 TEST(JsonTest, SurrogatePairs) {

@@ -4,11 +4,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
-
-#include "core/cluster.hpp"
-#include "gen/synthetic.hpp"
-#include "test_util.hpp"
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 namespace dsud {
 namespace {
@@ -80,47 +78,6 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
     }
   }  // destructor joins after the queue drains
   EXPECT_EQ(done.load(), 50);
-}
-
-TEST(ParallelBroadcastTest, MatchesSequentialExactly) {
-  const Dataset global = generateSynthetic(
-      SyntheticSpec{3000, 3, ValueDistribution::kAnticorrelated, 750});
-
-  InProcCluster sequential(Topology::uniform(global, 16, 751));
-  InProcCluster parallel(Topology::uniform(global, 16, 751));
-  QueryOptions fanOut;
-  fanOut.broadcastThreads = 4;
-
-  const QueryResult a = sequential.engine().run(Algo::kEdsud, QueryConfig{});
-  const QueryResult b =
-      parallel.engine().run(Algo::kEdsud, QueryConfig{}, fanOut);
-
-  ASSERT_EQ(a.skyline.size(), b.skyline.size());
-  for (std::size_t i = 0; i < a.skyline.size(); ++i) {
-    EXPECT_EQ(a.skyline[i].tuple.id, b.skyline[i].tuple.id);
-    // Ordered reduction: bit-for-bit identical probabilities.
-    EXPECT_EQ(a.skyline[i].globalSkyProb, b.skyline[i].globalSkyProb);
-  }
-  EXPECT_EQ(a.stats.tuplesShipped, b.stats.tuplesShipped);
-  EXPECT_EQ(a.stats.broadcasts, b.stats.broadcasts);
-}
-
-TEST(ParallelBroadcastTest, WorksForDsudAndUpdatesToo) {
-  const Dataset global = generateSynthetic(
-      SyntheticSpec{1000, 2, ValueDistribution::kIndependent, 752});
-  InProcCluster cluster(Topology::uniform(global, 8, 753));
-  QueryOptions fanOut;
-  fanOut.broadcastThreads = 3;
-
-  QueryResult dsud = cluster.engine().run(Algo::kDsud, QueryConfig{}, fanOut);
-  sortByGlobalProbability(dsud.skyline);
-  EXPECT_EQ(testutil::idsOf(dsud.skyline),
-            testutil::idsOf(linearSkyline(global, {.q = 0.3})));
-
-  // Default options: back to the sequential path.
-  QueryResult again = cluster.engine().run(Algo::kDsud, QueryConfig{});
-  sortByGlobalProbability(again.skyline);
-  EXPECT_EQ(testutil::idsOf(again.skyline), testutil::idsOf(dsud.skyline));
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Cross-site distributed tracing: the NTP-style clock alignment and span
 // merge (obs/merge.hpp), the explicit-parent tracer API it builds on, and
-// the end-to-end pipeline — site-side spans shipped piggybacked (in-process)
-// or via kFetchTrace (TCP), merged into the coordinator's timeline so every
-// site span lands INSIDE its parent RPC span, exported as Perfetto-loadable
-// JSON, and the slow-query log's `query.slow` event.
+// the end-to-end pipeline — site-side spans pulled with kFetchTrace over
+// in-process and TCP transports, merged into the coordinator's timeline so
+// every site span lands INSIDE its parent RPC span, exported as
+// Perfetto-loadable JSON, and the slow-query log's `query.slow` event.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -284,30 +284,39 @@ TEST(MergeSiteTracesTest, EmptyInputsAreNoOps) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: piggyback over the in-process transport
+// End-to-end: kFetchTrace over the in-process transport
 
-TEST(SiteTraceE2ETest, PiggybackMergesEverySiteSpanInsideItsRpc) {
+/// Site tracing on: each site session records up to this many spans.
+QueryOptions siteTraced() {
+  QueryOptions options;
+  options.siteTraceCapacity = 65536;
+  return options;
+}
+
+TEST(SiteTraceE2ETest, FetchModeReadsSpansAtFinishTime) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{900, 3, ValueDistribution::kAnticorrelated, 501});
   InProcCluster cluster(Topology::uniform(global, 5, 502));
-  QueryOptions options;
-  options.siteTrace = SiteTraceMode::kPiggyback;
 
-  const QueryResult result =
-      cluster.engine().run(Algo::kEdsud, QueryConfig{}, options);
-
-  ASSERT_FALSE(result.trace.empty());
-  expectSiteSpansContained(result.trace);
-  const auto summaries = mergeSummaries(result.trace);
-  ASSERT_EQ(summaries.size(), 5u) << "one merge summary per site";
-  for (const obs::TraceEvent* s : summaries) {
-    EXPECT_GT(attrOf(*s, "matched").value_or(0.0), 0.0)
-        << "site " << attrOf(*s, "site").value_or(-1.0);
-    EXPECT_GT(attrOf(*s, "samples").value_or(0.0), 0.0);
-  }
-  // The replay caches never fired on a clean transport.
-  for (const obs::TraceEvent& e : result.trace.events) {
-    EXPECT_FALSE(attrOf(e, "replay").has_value()) << e.name;
+  for (const Algo algo : {Algo::kEdsud, Algo::kDsud}) {
+    const QueryResult result =
+        cluster.engine().run(algo, QueryConfig{}, siteTraced());
+    ASSERT_FALSE(result.trace.empty());
+    expectSiteSpansContained(result.trace);
+    std::size_t fetches = 0;
+    for (const obs::TraceEvent& e : result.trace.events) {
+      if (e.name == "rpc.fetch_trace") ++fetches;
+      // The replay caches never fired on a clean transport.
+      EXPECT_FALSE(attrOf(e, "replay").has_value()) << e.name;
+    }
+    EXPECT_EQ(fetches, 5u) << "one kFetchTrace per site at finish time";
+    const auto summaries = mergeSummaries(result.trace);
+    ASSERT_EQ(summaries.size(), 5u) << "one merge summary per site";
+    for (const obs::TraceEvent* s : summaries) {
+      EXPECT_GT(attrOf(*s, "matched").value_or(0.0), 0.0)
+          << "site " << attrOf(*s, "site").value_or(-1.0);
+      EXPECT_GT(attrOf(*s, "samples").value_or(0.0), 0.0);
+    }
   }
 }
 
@@ -321,35 +330,16 @@ TEST(SiteTraceE2ETest, SiteTraceOffKeepsTheWirePayloadIdentical) {
   const QueryResult a = plain.engine().run(Algo::kEdsud, QueryConfig{});
   const QueryResult b = traced.engine().run(Algo::kEdsud, QueryConfig{}, off);
   EXPECT_EQ(a.stats.bytesShipped, b.stats.bytesShipped)
-      << "SiteTraceMode::kOff must keep responses byte-identical";
+      << "site tracing off must keep responses byte-identical";
 
-  QueryOptions piggyback;
-  piggyback.siteTrace = SiteTraceMode::kPiggyback;
+  // Site tracing leaves every query response untouched and costs exactly
+  // one kFetchTrace round trip per site.
   const QueryResult c =
-      traced.engine().run(Algo::kEdsud, QueryConfig{}, piggyback);
-  EXPECT_GT(c.stats.bytesShipped, a.stats.bytesShipped)
-      << "piggybacked trailers ride on the measured responses";
-  EXPECT_EQ(c.skyline.size(), a.skyline.size())
+      traced.engine().run(Algo::kEdsud, QueryConfig{}, siteTraced());
+  EXPECT_EQ(testutil::idsOf(c.skyline), testutil::idsOf(a.skyline))
       << "tracing must not change the answer";
-}
-
-TEST(SiteTraceE2ETest, FetchModeReadsSpansAtFinishTime) {
-  const Dataset global = generateSynthetic(
-      SyntheticSpec{600, 3, ValueDistribution::kAnticorrelated, 505});
-  InProcCluster cluster(Topology::uniform(global, 4, 506));
-  QueryOptions options;
-  options.siteTrace = SiteTraceMode::kFetch;
-
-  const QueryResult result =
-      cluster.engine().run(Algo::kDsud, QueryConfig{}, options);
-  ASSERT_FALSE(result.trace.empty());
-  expectSiteSpansContained(result.trace);
-  bool sawFetch = false;
-  for (const obs::TraceEvent& e : result.trace.events) {
-    sawFetch |= e.name == "rpc.fetch_trace";
-  }
-  EXPECT_TRUE(sawFetch) << "fetch mode issues one kFetchTrace per site";
-  EXPECT_EQ(mergeSummaries(result.trace).size(), 4u);
+  EXPECT_EQ(c.stats.tuplesShipped, a.stats.tuplesShipped);
+  EXPECT_EQ(c.stats.roundTrips, a.stats.roundTrips + 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -404,20 +394,15 @@ TEST(SiteTraceE2ETest, TcpClusterAlignsSiteClocksIntoRpcSpans) {
   const auto siteData = partitionUniform(global, 4, rng);
   TcpCluster cluster(siteData);
 
-  for (const SiteTraceMode mode :
-       {SiteTraceMode::kPiggyback, SiteTraceMode::kFetch}) {
-    QueryOptions options;
-    options.siteTrace = mode;
-    const QueryResult result =
-        cluster.engine().run(Algo::kEdsud, QueryConfig{}, options);
-    ASSERT_FALSE(result.trace.empty());
-    expectSiteSpansContained(result.trace);
-    const auto summaries = mergeSummaries(result.trace);
-    ASSERT_EQ(summaries.size(), 4u);
-    for (const obs::TraceEvent* s : summaries) {
-      EXPECT_GT(attrOf(*s, "samples").value_or(0.0), 0.0)
-          << "every site needs at least one clean offset sample";
-    }
+  const QueryResult result =
+      cluster.engine().run(Algo::kEdsud, QueryConfig{}, siteTraced());
+  ASSERT_FALSE(result.trace.empty());
+  expectSiteSpansContained(result.trace);
+  const auto summaries = mergeSummaries(result.trace);
+  ASSERT_EQ(summaries.size(), 4u);
+  for (const obs::TraceEvent* s : summaries) {
+    EXPECT_GT(attrOf(*s, "samples").value_or(0.0), 0.0)
+        << "every site needs at least one clean offset sample";
   }
 }
 
@@ -428,10 +413,8 @@ TEST(SiteTraceE2ETest, PerfettoExportPutsSiteSpansOnSiteTracks) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{500, 2, ValueDistribution::kAnticorrelated, 509});
   InProcCluster cluster(Topology::uniform(global, 3, 510));
-  QueryOptions options;
-  options.siteTrace = SiteTraceMode::kPiggyback;
   const QueryResult result =
-      cluster.engine().run(Algo::kEdsud, QueryConfig{}, options);
+      cluster.engine().run(Algo::kEdsud, QueryConfig{}, siteTraced());
 
   const std::string json = obs::traceToPerfetto(result.trace);
   EXPECT_NE(json.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
@@ -484,8 +467,7 @@ TEST(SiteTraceE2ETest, SlowQueryLogEmitsEventAndCounts) {
   InProcCluster cluster(Topology::uniform(global, 3, 512));
   const std::uint64_t startNs = obs::wallClockNs();
 
-  QueryOptions options;
-  options.siteTrace = SiteTraceMode::kPiggyback;
+  QueryOptions options = siteTraced();
   options.slowQueryThreshold = 1e-9;  // every real query exceeds this
   const QueryResult result =
       cluster.engine().run(Algo::kEdsud, QueryConfig{}, options);

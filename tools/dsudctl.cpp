@@ -25,7 +25,7 @@
 //   dsudctl debug    <queries|topology|cache|recorder> --connect=<http-port>
 //   dsudctl trace    --in=data.bin --out=query.trace.json
 //                    [--algo=edsud|dsud|naive] [--m=6] [--q=0.3] [--seed=1]
-//                    [--transport=inproc|tcp] [--site-trace=piggyback|fetch|off]
+//                    [--transport=inproc|tcp] [--site-trace=fetch|off]
 //                    [--trace-capacity=65536] [--slow-threshold=0]
 //
 // `metrics` runs one query with full observability enabled and prints the
@@ -47,9 +47,9 @@
 // the flag only controls reporting.
 //
 // `trace` runs one query with distributed tracing on — the sites record
-// their own spans, ship them to the coordinator (piggybacked on responses,
-// or via kFetchTrace with --site-trace=fetch), and the merged, clock-aligned
-// timeline is written as Chrome trace_event JSON that loads directly in
+// their own spans, the coordinator pulls them with one kFetchTrace per site
+// at finish time (--site-trace=off keeps coordinator spans only), and the
+// merged, clock-aligned timeline is written as Chrome trace_event JSON that loads directly in
 // Perfetto (https://ui.perfetto.dev) or chrome://tracing.  --transport=tcp
 // runs the cluster over real loopback sockets (one server thread per site)
 // so the trace shows genuine wire latencies.  --slow-threshold exercises
@@ -817,15 +817,10 @@ int cmdTrace(const ArgParser& args) {
   QueryOptions options;
   options.traceCapacity =
       static_cast<std::size_t>(args.getInt("trace-capacity", 65536));
-  options.siteTraceCapacity = options.traceCapacity;
-  const std::string mode = args.get("site-trace", "piggyback");
-  if (mode == "piggyback") {
-    options.siteTrace = SiteTraceMode::kPiggyback;
-  } else if (mode == "fetch") {
-    options.siteTrace = SiteTraceMode::kFetch;
-  } else if (mode == "off") {
-    options.siteTrace = SiteTraceMode::kOff;
-  } else {
+  const std::string mode = args.get("site-trace", "fetch");
+  if (mode == "fetch") {
+    options.siteTraceCapacity = options.traceCapacity;
+  } else if (mode != "off") {
     std::fprintf(stderr, "trace: unknown --site-trace=%s\n", mode.c_str());
     return 1;
   }
