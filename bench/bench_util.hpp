@@ -24,8 +24,6 @@
 #include "core/cluster.hpp"
 #include "gen/nyse.hpp"
 #include "gen/synthetic.hpp"
-#include "obs/export.hpp"
-#include "obs/metrics.hpp"
 #include "skyline/bbs.hpp"
 
 namespace dsud::bench {
@@ -75,14 +73,6 @@ struct Point {
   double skyline = 0.0;  ///< mean answers reported
 };
 
-/// Registry shared by every cluster a bench binary builds, so protocol and
-/// transport metrics accumulate across repeats.  Snapshots land in a
-/// `<table>.metrics.json` next to each table's CSV (see printTitle).
-inline obs::MetricsRegistry& metricsRegistry() {
-  static obs::MetricsRegistry registry;
-  return registry;
-}
-
 /// Runs `algo` `repeats` times over fresh partitionings of `global` and
 /// averages the outcome.
 inline Point averagePoint(const Dataset& global, std::size_t m,
@@ -90,10 +80,7 @@ inline Point averagePoint(const Dataset& global, std::size_t m,
                           const QueryConfig& config, std::uint64_t seed) {
   Point p;
   for (std::size_t r = 0; r < repeats; ++r) {
-    ClusterConfig clusterConfig;
-    clusterConfig.metrics = &metricsRegistry();
-    InProcCluster cluster(Topology::uniform(global, m, seed + r * 7919),
-                          clusterConfig);
+    InProcCluster cluster(Topology::uniform(global, m, seed + r * 7919));
     const QueryResult result = cluster.engine().run(algo, config);
     p.tuples += static_cast<double>(result.stats.tuplesShipped);
     p.seconds += result.stats.seconds;
@@ -117,8 +104,6 @@ namespace detail {
 
 struct CsvSink {
   std::FILE* file = nullptr;
-  /// Where the current table's metrics snapshot lands when closed.
-  std::string metricsPath;
 
   ~CsvSink() { close(); }
   void close() {
@@ -126,29 +111,10 @@ struct CsvSink {
       std::fclose(file);
       file = nullptr;
     }
-    if (!metricsPath.empty()) {
-      const std::string json =
-          obs::metricsToJson(metricsRegistry().snapshot());
-      if (std::FILE* mf = std::fopen(metricsPath.c_str(), "w");
-          mf != nullptr) {
-        std::fwrite(json.data(), 1, json.size(), mf);
-        std::fclose(mf);
-      } else {
-        std::fprintf(stderr, "bench: cannot open %s for metrics output\n",
-                     metricsPath.c_str());
-      }
-      metricsPath.clear();
-      // Each table gets a fresh window of counters.
-      metricsRegistry().reset();
-    }
   }
 };
 
 inline CsvSink& csvSink() {
-  // The sink's destructor snapshots the registry, so the registry must be
-  // constructed first (and thus destroyed last) — touch it before the
-  // sink's own static initialisation.
-  metricsRegistry();
   static CsvSink sink;
   return sink;
 }
@@ -174,14 +140,12 @@ inline void printTitle(const std::string& title) {
   detail::csvSink().close();
   const std::string dir = envOr("DSUD_CSV", std::string{});
   if (!dir.empty()) {
-    const std::string slug = detail::slugify(title);
-    const std::string path = dir + "/" + slug + ".csv";
+    const std::string path = dir + "/" + detail::slugify(title) + ".csv";
     detail::csvSink().file = std::fopen(path.c_str(), "w");
     if (detail::csvSink().file == nullptr) {
       std::fprintf(stderr, "bench: cannot open %s for CSV output\n",
                    path.c_str());
     }
-    detail::csvSink().metricsPath = dir + "/" + slug + ".metrics.json";
   }
 }
 

@@ -6,9 +6,9 @@
 // degraded mode, and reports how many queries stayed exact, how many
 // completed degraded (a site exhausted its budget and was excluded), how
 // many failed outright (every site lost), and the mean wall time.  Retries
-// come from the shared metrics registry, so the table shows how much work
-// the fault rate actually induced.  Backoff is zeroed: the point is the
-// protocol's fault-handling overhead, not sleep time.
+// are summed from each cluster's own metrics registry, so the table shows
+// how much work the fault rate actually induced.  Backoff is zeroed: the
+// point is the protocol's fault-handling overhead, not sleep time.
 //
 // A second table kills one site for good mid-query (killAfter = 1) and
 // shows both algorithms completing degraded over the survivors.
@@ -26,19 +26,21 @@ namespace {
 using namespace dsud;
 using namespace dsud::bench;
 
-std::uint64_t retriesTotal() {
+std::uint64_t retriesTotal(InProcCluster& cluster) {
   std::uint64_t sum = 0;
-  for (const auto& [name, value] : metricsRegistry().snapshot().counters) {
+  for (const auto& [name, value] :
+       cluster.metricsRegistry().snapshot().counters) {
     if (name.rfind("dsud_retries_total", 0) == 0) sum += value;
   }
   return sum;
 }
 
 struct FaultPoint {
-  std::size_t exact = 0;     ///< completed with no site excluded
-  std::size_t degraded = 0;  ///< completed over survivors
-  std::size_t failed = 0;    ///< aborted (every site unreachable)
-  double seconds = 0.0;      ///< mean wall time of completed queries
+  std::size_t exact = 0;      ///< completed with no site excluded
+  std::size_t degraded = 0;   ///< completed over survivors
+  std::size_t failed = 0;     ///< aborted (every site unreachable)
+  double seconds = 0.0;       ///< mean wall time of completed queries
+  std::uint64_t retries = 0;  ///< RPC retries summed over every repeat
 };
 
 FaultPoint sweepAlgo(const Dataset& global, const Scale& scale, Algo algo,
@@ -49,7 +51,6 @@ FaultPoint sweepAlgo(const Dataset& global, const Scale& scale, Algo algo,
   std::size_t completed = 0;
   for (std::size_t r = 0; r < scale.repeats; ++r) {
     ClusterConfig config;
-    config.metrics = &metricsRegistry();
     if (faultRate > 0.0) {
       config.chaos = ChaosSpec{.dropRate = faultRate / 2,
                                .errorRate = faultRate / 2,
@@ -65,6 +66,7 @@ FaultPoint sweepAlgo(const Dataset& global, const Scale& scale, Algo algo,
     } catch (const std::exception&) {
       ++point.failed;
     }
+    point.retries += retriesTotal(cluster);
   }
   if (completed > 0) point.seconds /= static_cast<double>(completed);
   return point;
@@ -92,7 +94,6 @@ int main() {
                "eDSUD exact", "eDSUD degr", "eDSUD fail", "eDSUD s",
                "retries"});
   for (const double rate : {0.0, 0.02, 0.05, 0.1, 0.2, 0.4}) {
-    const std::uint64_t retriesBefore = retriesTotal();
     const FaultPoint dsud = sweepAlgo(global, scale, Algo::kDsud, rate,
                                       options);
     const FaultPoint edsud = sweepAlgo(global, scale, Algo::kEdsud, rate,
@@ -101,7 +102,7 @@ int main() {
              std::uint64_t(dsud.degraded), std::uint64_t(dsud.failed),
              dsud.seconds, std::uint64_t(edsud.exact),
              std::uint64_t(edsud.degraded), std::uint64_t(edsud.failed),
-             edsud.seconds, retriesTotal() - retriesBefore);
+             edsud.seconds, dsud.retries + edsud.retries);
   }
 
   printTitle("Degraded completion: one site killed mid-query");
@@ -111,7 +112,6 @@ int main() {
     std::size_t completed = 0;
     for (std::size_t r = 0; r < scale.repeats; ++r) {
       ClusterConfig config;
-      config.metrics = &metricsRegistry();
       config.chaos = ChaosSpec{
           .killAfter = 1,
           .onlySite = static_cast<SiteId>(r % scale.m),

@@ -109,10 +109,8 @@ int main() {
   printHeader({"k", "phase", "queries", "mean ms", "p50 ms", "p95 ms",
                "rebalances", "epoch"});
   for (const std::size_t replicas : {std::size_t{1}, std::size_t{2}}) {
-    ClusterConfig config;
-    config.metrics = &metricsRegistry();
     InProcCluster cluster(
-        Topology::uniform(global, scale.m, scale.seed, replicas), config);
+        Topology::uniform(global, scale.m, scale.seed, replicas));
     QueryConfig query;
     query.q = scale.q;
     const std::vector<TupleId> expected =

@@ -72,7 +72,7 @@ class BatchExecutor {
   struct Group {
     Algo algo = Algo::kEdsud;
     QueryConfig config;    ///< first member's; q is rewritten at flush
-    QueryOptions options;  ///< leader template (fault, broadcast workers)
+    QueryOptions options;  ///< leader template (fault policy, tracing)
     Clock::time_point deadline;
     std::size_t maxMerge = 64;
     std::vector<Member> members;

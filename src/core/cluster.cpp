@@ -21,9 +21,8 @@ constexpr std::size_t kStreamBatch = 512;
 
 InProcCluster::InProcCluster(Topology topology, ClusterConfig config)
     : config_(std::move(config)), topology_(std::move(topology)) {
-  if (config_.metrics != nullptr) metrics_ = config_.metrics;
   dims_ = topology_.dims();
-  coordinator_ = std::make_unique<Coordinator>(&meter_, dims_, metrics_,
+  coordinator_ = std::make_unique<Coordinator>(&meter_, dims_, &metrics_,
                                                config_.breaker);
   std::vector<Dataset> seed = topology_.takeSeedData();
   const std::vector<PartitionDesc> parts = topology_.partitions();
@@ -53,7 +52,7 @@ InProcCluster::Store InProcCluster::wireStore(std::shared_ptr<LocalSite> site,
   Store store;
   store.site = std::move(site);
   store.host = host;
-  store.site->setMetrics(metrics_);
+  store.site->setMetrics(&metrics_);
   store.server = std::make_shared<SiteServer>(*store.site);
   const SiteId partition = store.site->id();
   // The factory captures the site and server by shared_ptr: any pinned
@@ -61,7 +60,7 @@ InProcCluster::Store InProcCluster::wireStore(std::shared_ptr<LocalSite> site,
   // factory even after the cluster has moved on to a newer epoch.
   auto pool = std::make_shared<ChannelPool>(
       [partition, site = store.site, server = store.server, meter = &meter_,
-       metrics = metrics_, chaos = chaosFor(host)] {
+       metrics = &metrics_, chaos = chaosFor(host)] {
         auto channel = std::make_unique<InProcChannel>(server->handler());
         channel->bindAccounting(partition, meter, metrics);
         std::unique_ptr<ClientChannel> out = std::move(channel);

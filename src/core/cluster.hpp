@@ -53,9 +53,6 @@ struct ClusterConfig {
   /// killing a member fails all stores it hosts while the partitions'
   /// replicas on other members keep serving.
   std::optional<ChaosSpec> chaos;
-  /// Replaces the cluster's own metrics registry (must then outlive the
-  /// cluster).  Null keeps the internal registry.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 class InProcCluster {
@@ -73,9 +70,8 @@ class InProcCluster {
   /// number of concurrent run/submit calls.
   QueryEngine& engine() noexcept { return *engine_; }
   BandwidthMeter& meter() noexcept { return meter_; }
-  /// The registry every layer of this cluster reports into (the external
-  /// one when provided at construction).
-  obs::MetricsRegistry& metricsRegistry() noexcept { return *metrics_; }
+  /// The registry every layer of this cluster reports into.
+  obs::MetricsRegistry& metricsRegistry() noexcept { return metrics_; }
   std::size_t dims() const noexcept { return dims_; }
 
   /// Partitions in the current layout (== member count).
@@ -145,8 +141,7 @@ class InProcCluster {
 
   std::size_t dims_ = 0;
   BandwidthMeter meter_;
-  obs::MetricsRegistry ownMetrics_;
-  obs::MetricsRegistry* metrics_ = &ownMetrics_;
+  obs::MetricsRegistry metrics_;
   ClusterConfig config_;
 
   /// Serializes admin operations (add/remove/rebalance) and guards

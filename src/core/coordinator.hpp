@@ -160,7 +160,7 @@ class Coordinator {
   ///
   /// Session-less (QueryId 0) and sequential: this is the update-maintenance
   /// path (core/updates.hpp).  Queries evaluate through their own session
-  /// (internal::QueryRun), which fans out over per-query workers.
+  /// (internal::QueryRun).
   double evaluateGlobally(const Candidate& c, bool pruneLocal,
                           QueryStats& stats, DimMask mask = 0,
                           const std::optional<Rect>& window = std::nullopt);

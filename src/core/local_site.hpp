@@ -22,9 +22,9 @@ namespace dsud {
 /// Site-side protocol engine.
 ///
 /// Thread-safety contract: every protocol method is internally synchronised
-/// by one site-wide mutex, so any number of query sessions (and their
-/// broadcast workers) may call concurrently — calls serialise per site but
-/// proceed in parallel across sites.  Query state is keyed by QueryId, so
+/// by one site-wide mutex, so any number of query sessions may call
+/// concurrently — calls serialise per site but proceed in parallel across
+/// sites.  Query state is keyed by QueryId, so
 /// interleaved sessions never observe each other's cursors or pruning.
 /// Update maintenance (applyInsert/applyDelete/...) mutates the PR-tree;
 /// individual calls are safe against concurrent queries, but a query that

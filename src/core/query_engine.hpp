@@ -2,13 +2,12 @@
 // skyline algorithms.
 //
 // Every run opens an immutable session: a QueryId, a copy of the
-// QueryOptions, per-query site views (SiteHandle::openSession), a
-// session-owned monotonic clock, tracer, and bandwidth scope, and — when
-// requested — a session-private broadcast pool.  Because no query touches
-// coordinator-global state, any number of queries may execute concurrently
-// over one cluster, and each is bit-for-bit identical to the same query run
-// alone (survival factors reduce in site order; site sessions are keyed by
-// QueryId).
+// QueryOptions, per-query site views (SiteHandle::openSession), and a
+// session-owned monotonic clock, tracer, and bandwidth scope.  Because no
+// query touches coordinator-global state, any number of queries may execute
+// concurrently over one cluster, and each is bit-for-bit identical to the
+// same query run alone (survival factors reduce in site order; site sessions
+// are keyed by QueryId).
 //
 // Thread-safety contract: run and submit may be called
 // concurrently from any thread.  The coordinator must outlive the engine

@@ -23,8 +23,7 @@ namespace dsud {
 /// Typed operations the coordinator performs on one site.
 ///
 /// Thread-safety contract: a SiteHandle instance is session-confined — one
-/// query session (and its broadcast workers, which call sequentially per
-/// handle) uses one instance.  Concurrent queries each call `openSession`
+/// query session uses one instance.  Concurrent queries each call `openSession`
 /// to get their own view; the returned handles may be used from different
 /// threads simultaneously because they share only thread-safe state (the
 /// channel pool, the meter, the site itself).

@@ -51,9 +51,4 @@ UsageTotals BandwidthMeter::totals() const {
   return t;
 }
 
-void BandwidthMeter::reset() {
-  std::lock_guard lock(mutex_);
-  for (LinkUsage& l : links_) l = LinkUsage{};
-}
-
 }  // namespace dsud

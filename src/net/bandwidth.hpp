@@ -38,7 +38,7 @@ struct UsageTotals {
 /// links.
 ///
 /// Thread-safety contract: all counters are relaxed atomics — any number of
-/// broadcast workers may record concurrently, and `totals()` may be read at
+/// threads may record concurrently, and `totals()` may be read at
 /// any time (it is only guaranteed consistent once the query's RPCs are
 /// done, which is when QueryRun reads it).
 class QueryUsage {
@@ -94,8 +94,6 @@ class BandwidthMeter {
 
   /// Total tuples shipped (the paper's bandwidth metric).
   std::uint64_t tuplesShipped() const { return totals().tuples; }
-
-  void reset();
 
  private:
   void ensureSiteLocked(SiteId site);

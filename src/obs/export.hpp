@@ -2,10 +2,9 @@
 //
 // Two metric formats are produced from the same MetricsSnapshot:
 //
-//   * JSON — machine-friendly dump for the bench harness (one
-//     `<table>.metrics.json` next to each figure CSV) and for tooling;
-//     histograms carry bounds, per-bucket counts, sum/count and
-//     pre-computed p50/p95/p99.
+//   * JSON — machine-friendly dump for tooling (`dsudctl metrics
+//     --format=json`); histograms carry bounds, per-bucket counts,
+//     sum/count and pre-computed p50/p95/p99.
 //   * Prometheus text exposition (version 0.0.4) — what a scrape endpoint
 //     or `dsudctl metrics` prints.  Labeled instrument names
 //     (`base{k="v"}`, built by obs::labeled) are split back into family

@@ -84,14 +84,6 @@ double HistogramSnapshot::quantile(double q) const {
   return quantileFromBuckets(bounds, buckets, count, q);
 }
 
-void Histogram::reset() noexcept {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
 std::vector<double> Histogram::exponentialBounds(double start, double factor,
                                                  std::size_t count) {
   if (!(start > 0.0) || !(factor > 1.0) || count == 0) {
@@ -213,12 +205,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.histograms.push_back(std::move(hs));
   }
   return snap;
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard lock(mutex_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, h] : histograms_) h->reset();
 }
 
 }  // namespace dsud::obs

@@ -43,7 +43,6 @@ class Counter {
   std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -100,10 +99,6 @@ class Histogram {
   double p95() const { return quantile(0.95); }
   double p99() const { return quantile(0.99); }
 
-  /// Zeroes counts and sum in place (addresses stay valid).  Not meant to
-  /// race with writers; between-queries/tables use only.
-  void reset() noexcept;
-
   /// `count` bounds starting at `start`, each `factor` times the previous —
   /// the usual latency ladder.
   static std::vector<double> exponentialBounds(double start, double factor,
@@ -159,8 +154,7 @@ std::string labeled(
 ///
 /// Thread-safety contract: registration, instrument updates, and
 /// `snapshot()` may all race freely — concurrent query sessions share one
-/// registry without coordination.  Only `reset()` is exempt: it assumes no
-/// active writers (bench-harness use between tables).
+/// registry without coordination.
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name);
@@ -171,11 +165,6 @@ class MetricsRegistry {
                        std::vector<double> upperBounds);
 
   MetricsSnapshot snapshot() const;
-
-  /// Zeroes every counter and histogram (gauges keep their last value).
-  /// Intended for the bench harness between tables, not for concurrent use
-  /// with active writers.
-  void reset();
 
  private:
   mutable std::mutex mutex_;

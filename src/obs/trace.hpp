@@ -66,9 +66,9 @@ class Tracer {
 
   /// Opens a span under an explicit parent.  Unlike `begin(name)`, the new
   /// span does NOT become the implicit parent of later spans (it never joins
-  /// the open-span stack) — this is what concurrent broadcast workers need:
-  /// each worker's span hangs off the broadcast span regardless of which
-  /// other spans happen to be open when the worker runs.
+  /// the open-span stack) — this is how a broadcast's per-site RPC spans
+  /// hang off the broadcast span regardless of which other spans happen to
+  /// be open when each RPC runs.
   SpanId begin(std::string_view name, SpanId parent);
 
   void end(SpanId id);

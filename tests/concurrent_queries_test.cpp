@@ -34,7 +34,7 @@ void expectSameAnswer(const QueryResult& got, const QueryResult& want) {
   for (std::size_t i = 0; i < got.skyline.size(); ++i) {
     EXPECT_EQ(got.skyline[i].tuple.id, want.skyline[i].tuple.id) << "rank " << i;
     // Bit-for-bit: survival factors reduce in site order regardless of how
-    // many sessions (or broadcast workers) ran at the same time.
+    // many sessions ran at the same time.
     EXPECT_EQ(got.skyline[i].globalSkyProb, want.skyline[i].globalSkyProb)
         << "rank " << i;
   }

@@ -55,15 +55,6 @@ TEST(BandwidthMeterTest, GrowsForUnseenSites) {
   EXPECT_EQ(meter.link(3).tuplesToSite, 0u);  // untouched link reads zero
 }
 
-TEST(BandwidthMeterTest, ResetClears) {
-  BandwidthMeter meter(1);
-  meter.recordCall(0, 10, 10);
-  meter.recordTuples(0, 1, 1);
-  meter.reset();
-  EXPECT_EQ(meter.totals().tuples, 0u);
-  EXPECT_EQ(meter.totals().bytes, 0u);
-}
-
 TEST(BandwidthMeterTest, ThreadSafeAccumulation) {
   BandwidthMeter meter(1);
   std::vector<std::thread> threads;

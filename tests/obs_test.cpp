@@ -25,14 +25,12 @@ namespace {
 // ---------------------------------------------------------------------------
 // Instruments
 
-TEST(ObsCounterTest, AddAndReset) {
+TEST(ObsCounterTest, Add) {
   obs::Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.inc();
   c.add(41);
   EXPECT_EQ(c.value(), 42u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(ObsCounterTest, ConcurrentIncrementsFromPoolWorkers) {
@@ -121,17 +119,6 @@ TEST(ObsRegistryTest, StableAddressesAndKindChecks) {
   obs::Histogram& h = reg.histogram("lat_seconds", {1.0, 2.0});
   EXPECT_EQ(&h, &reg.histogram("lat_seconds", {1.0, 2.0}));
   EXPECT_THROW(reg.histogram("lat_seconds", {3.0}), std::logic_error);
-
-  // reset() zeroes in place: cached references remain usable.
-  a.add(7);
-  h.observe(1.5);
-  reg.reset();
-  EXPECT_EQ(a.value(), 0u);
-  EXPECT_EQ(h.count(), 0u);
-  a.inc();
-  h.observe(0.5);
-  EXPECT_EQ(a.value(), 1u);
-  EXPECT_EQ(h.count(), 1u);
 }
 
 TEST(ObsRegistryTest, LabeledNameFormat) {
