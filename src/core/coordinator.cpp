@@ -152,20 +152,4 @@ ApplyDeleteResponse Coordinator::applyDelete(SiteId site,
   return response;
 }
 
-double Coordinator::evaluateGlobally(const Candidate& c, bool pruneLocal,
-                                     QueryStats& stats, DimMask mask,
-                                     const std::optional<Rect>& window) {
-  const auto view = this->view();
-  double globalSkyProb = c.localSkyProb;
-  const EvaluateRequest request{kNoQuery, c.tuple, mask, pruneLocal, window};
-  for (const ReplicaChain& chain : view->partitions) {
-    if (chain.partition == c.site) continue;
-    const EvaluateResponse r = chain.replicas[0]->evaluate(request);
-    globalSkyProb *= r.survival;
-    stats.prunedAtSites += r.prunedCount;
-  }
-  ++stats.broadcasts;
-  return globalSkyProb;
-}
-
 }  // namespace dsud

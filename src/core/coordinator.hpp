@@ -152,19 +152,6 @@ class Coordinator {
   ApplyInsertResponse applyInsert(SiteId site, const ApplyInsertRequest& r);
   ApplyDeleteResponse applyDelete(SiteId site, const ApplyDeleteRequest& r);
 
-  /// Broadcasts `c.tuple` to every site except its origin and multiplies the
-  /// returned survival factors onto the local probability (Lemma 1).
-  /// Returns the exact P_gsky; accumulates prune counts into `stats`.
-  /// `mask` selects the dominance subspace (0 = all dimensions); a `window`
-  /// restricts the survival products to in-window dominators.
-  ///
-  /// Session-less (QueryId 0) and sequential: this is the update-maintenance
-  /// path (core/updates.hpp).  Queries evaluate through their own session
-  /// (internal::QueryRun).
-  double evaluateGlobally(const Candidate& c, bool pruneLocal,
-                          QueryStats& stats, DimMask mask = 0,
-                          const std::optional<Rect>& window = std::nullopt);
-
  private:
   const ReplicaChain& chainById(const ClusterView& view, SiteId id) const;
 

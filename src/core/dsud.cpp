@@ -28,22 +28,11 @@ struct LowerLocalProb {
 QueryResult QueryEngine::dsudImpl(const QueryConfig& config,
                                   const QueryOptions& options, QueryId id) {
   internal::QueryRun run(*coord_, "dsud", options, id);
-  QueryStats& stats = run.result.stats;
   const DimMask mask = config.effectiveMask(coord_->dims());
-  const PrepareRequest prep{run.id, config.q, mask, config.prune,
-                            config.window};
-  const NextCandidateRequest cursor{run.id};
 
   std::priority_queue<Candidate, std::vector<Candidate>, LowerLocalProb> queue;
-  {
-    obs::TraceSpan prepare = run.span("prepare");
-    run.prepareAll(prep);
-    for (const auto& s : run.sessions) {
-      if (auto c = run.pull(s->siteId(), cursor, stats)) {
-        queue.push(std::move(*c));
-      }
-    }
-  }
+  run.prepare({run.id, config.q, mask, config.prune, config.window},
+              [&](Candidate c) { queue.push(std::move(c)); });
 
   while (!queue.empty()) {
     const auto round = run.roundScope();
@@ -58,20 +47,10 @@ QueryResult QueryEngine::dsudImpl(const QueryConfig& config,
     // Corollary 1: nothing still queued or unseen can reach q.
     if (c.localSkyProb < config.q) break;
 
-    double globalSkyProb = 0.0;
-    {
-      obs::TraceSpan broadcast = run.span("broadcast");
-      broadcast.attr("site", c.site);
-      broadcast.attr("tuple", static_cast<double>(c.tuple.id));
-      globalSkyProb =
-          run.evaluateGlobally(c, /*pruneLocal=*/true, mask, config.window,
-                               broadcast.id());
-    }
+    const double globalSkyProb = run.broadcast(c, mask, config.window);
     if (globalSkyProb >= config.q) run.emit(c, globalSkyProb);
 
-    if (auto next = run.pull(c.site, cursor, stats)) {
-      queue.push(std::move(*next));
-    }
+    if (auto next = run.pull(c.site)) queue.push(std::move(*next));
   }
   return run.finalize();
 }

@@ -20,31 +20,30 @@ QueryResult QueryEngine::naiveImpl(const QueryConfig& config,
   std::unordered_map<TupleId, SiteId> origin;
   {
     obs::TraceSpan collect = run.span("ship_all");
-    for (const auto& s : run.sessions) {
+    for (internal::QueryRun::Site& site : run.sites) {
       run.throwIfCancelled();  // no rounds here; check per site instead
       obs::TraceSpan pull = run.span("pull");
-      pull.attr("site", s->siteId());
+      pull.attr("site", site.row.site);
       ShipAllResponse shipment;
       try {
-        shipment = s->shipAll();
+        shipment = site.session->shipAll();
       } catch (const NetError&) {
         if (!run.degradeOk()) throw;
-        run.markDead(s->siteId());
+        run.markDead(site);
         continue;
       }
       pull.attr("tuples", static_cast<double>(shipment.tuples.size()));
+      site.row.candidates += shipment.tuples.size();
       origin.reserve(origin.size() + shipment.tuples.size());
       for (const Tuple& t : shipment.tuples) {
         unified.add(t);
-        origin.emplace(t.id, s->siteId());
+        origin.emplace(t.id, site.row.site);
       }
     }
-    if (run.dead.size() == run.sessions.size()) {
+    if (run.result.excludedSites.size() == run.sites.size()) {
       throw NetError("naive: all sites unavailable");
     }
   }
-  run.result.stats.candidatesPulled = unified.size();
-  if (run.pulls != nullptr) run.pulls->add(unified.size());
 
   // Centralised answer, reported progressively in BBS order.
   obs::TraceSpan answer = run.span("central_bbs");

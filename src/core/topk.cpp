@@ -13,9 +13,6 @@
 // search: the result is exact whenever at least k tuples have
 // P_gsky >= floorQ (P_gsky <= local P_sky, Corollary 1, so nothing below
 // the floor locally can reach it globally).
-#include <algorithm>
-
-#include "core/bound_queue.hpp"
 #include "core/query_engine.hpp"
 #include "core/query_run.hpp"
 
@@ -31,109 +28,30 @@ QueryResult QueryEngine::topkImpl(const TopKConfig& config,
   }
 
   internal::QueryRun run(*coord_, "topk", options, id);
-  QueryStats& stats = run.result.stats;
   const DimMask mask = config.effectiveMask(coord_->dims());
-  const PrepareRequest prep{run.id, config.floorQ, mask,
-                            PruneRule::kThresholdBound, config.window};
-  const NextCandidateRequest cursor{run.id};
-
-  internal::BoundQueue queue(mask, FeedbackBound::kQueuedAndConfirmed);
-  const auto pullFrom = [&](SiteId site) {
-    if (auto next = run.pull(site, cursor, stats)) {
-      queue.add(std::move(*next));
-    }
-  };
-
-  {
-    obs::TraceSpan prepare = run.span("prepare");
-    run.prepareAll(prep);
-    for (const auto& s : run.sessions) {
-      pullFrom(s->siteId());
-    }
-  }
 
   // Current best-k, kept sorted descending by probability (k is small).
   std::vector<GlobalSkylineEntry> top;
-  const auto threshold = [&]() {
-    return top.size() < config.k ? config.floorQ
-                                 : top.back().globalSkyProb;
-  };
-
-  while (!queue.empty()) {
-    const auto round = run.roundScope();
-
-    // Purge candidates from sites that died mid-query (see edsud.cpp).
-    if (!run.dead.empty()) {
-      for (std::size_t i = 0; i < queue.size();) {
-        if (run.isDead(queue.candidate(i).site)) {
-          queue.take(i);
-        } else {
-          ++i;
+  run.boundQueueLoop(
+      {run.id, config.floorQ, mask, PruneRule::kThresholdBound,
+       config.window},
+      FeedbackBound::kQueuedAndConfirmed, /*sweep=*/true,
+      [&] {
+        return top.size() < config.k ? config.floorQ
+                                     : top.back().globalSkyProb;
+      },
+      [&](const Candidate& c, double globalSkyProb) {
+        // Admission: above the floor (the contract's universe) and either
+        // the top list is not full yet or the candidate beats the k-th.
+        if (globalSkyProb >= config.floorQ &&
+            (top.size() < config.k ||
+             globalSkyProb > top.back().globalSkyProb)) {
+          top.push_back({c.site, c.tuple, c.localSkyProb, globalSkyProb});
+          sortByGlobalProbability(top);
+          if (top.size() > config.k) top.pop_back();
         }
-      }
-      if (queue.empty()) break;
-    }
-
-    // Expunge sweep against the adaptive threshold.
-    for (std::size_t i = queue.findExpungeable(threshold());
-         i != internal::BoundQueue::npos;
-         i = queue.findExpungeable(threshold())) {
-      const Candidate victim = queue.take(i);
-      {
-        obs::TraceSpan span = run.span("expunge");
-        span.attr("site", victim.site);
-        span.attr("tuple", static_cast<double>(victim.tuple.id));
-      }
-      run.countExpunge(stats);
-      pullFrom(victim.site);
-    }
-    if (queue.empty()) break;
-
-    // After the sweep every remaining entry has ub >= τ, so selection
-    // cannot fail while the queue is nonempty (kept defensive).
-    const std::size_t best = queue.selectQualified(threshold());
-    if (best == internal::BoundQueue::npos) break;
-
-    const Candidate c = queue.take(best);
-    double globalSkyProb = 0.0;
-    {
-      obs::TraceSpan broadcast = run.span("broadcast");
-      broadcast.attr("site", c.site);
-      broadcast.attr("tuple", static_cast<double>(c.tuple.id));
-      globalSkyProb =
-          run.evaluateGlobally(c, /*pruneLocal=*/true, mask, config.window,
-                               broadcast.id());
-    }
-    queue.confirm(c.tuple, globalSkyProb);
-
-    // Admission: above the floor (the contract's universe) and either the
-    // top list is not full yet or the candidate beats the current k-th.
-    if (globalSkyProb >= config.floorQ &&
-        (top.size() < config.k ||
-         globalSkyProb > top.back().globalSkyProb)) {
-      GlobalSkylineEntry entry;
-      entry.site = c.site;
-      entry.tuple = c.tuple;
-      entry.localSkyProb = c.localSkyProb;
-      entry.globalSkyProb = globalSkyProb;
-      top.push_back(std::move(entry));
-      std::sort(top.begin(), top.end(),
-                [](const GlobalSkylineEntry& a, const GlobalSkylineEntry& b) {
-                  if (a.globalSkyProb != b.globalSkyProb) {
-                    return a.globalSkyProb > b.globalSkyProb;
-                  }
-                  return a.tuple.id < b.tuple.id;
-                });
-      if (top.size() > config.k) top.pop_back();
-    }
-    pullFrom(c.site);
-  }
-
+      });
   run.result.skyline = std::move(top);
-  // Top-k answers are not streamed through emit(); count them here.
-  if (run.answers != nullptr) {
-    run.answers->add(run.result.skyline.size());
-  }
   return run.finalize();
 }
 

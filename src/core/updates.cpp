@@ -37,6 +37,23 @@ class UpdateScope {
   Stopwatch watch_;
 };
 
+/// Exact P_gsky of `c` (Lemma 1): broadcasts its tuple to every partition
+/// but its origin, session-less (QueryId 0) and without local pruning, and
+/// multiplies the survival factors onto its local probability.  The
+/// maintenance twin of a query's broadcast (internal::QueryRun).
+double evaluateGlobally(Coordinator& coordinator, const Candidate& c,
+                        DimMask mask) {
+  const auto view = coordinator.view();
+  double globalSkyProb = c.localSkyProb;
+  const EvaluateRequest request{kNoQuery, c.tuple, mask,
+                                /*pruneLocal=*/false, std::nullopt};
+  for (const ReplicaChain& chain : view->partitions) {
+    if (chain.partition == c.site) continue;
+    globalSkyProb *= chain.replicas[0]->evaluate(request).survival;
+  }
+  return globalSkyProb;
+}
+
 }  // namespace
 
 SkylineMaintainer::SkylineMaintainer(Coordinator& coordinator,
@@ -162,12 +179,10 @@ void SkylineMaintainer::incrementalInsert(const UpdateEvent& event,
 
   // The new tuple itself joins only when its provable bound reaches q.
   if (response.globalUpperBound >= config_.q) {
-    QueryStats evalStats;
     const Candidate c{event.site, t, response.localSkyProb};
-    const double globalSkyProb = coordinator_.evaluateGlobally(
-        c, /*pruneLocal=*/false, evalStats,
-        config_.effectiveMask(coordinator_.dims()));
-    stats.broadcasts += evalStats.broadcasts;
+    const double globalSkyProb = evaluateGlobally(
+        coordinator_, c, config_.effectiveMask(coordinator_.dims()));
+    ++stats.broadcasts;
     if (globalSkyProb >= config_.q) {
       addSkyline(c, globalSkyProb);
       stats.skylineChanged = true;
@@ -215,10 +230,8 @@ void SkylineMaintainer::incrementalDelete(const UpdateEvent& event,
     }
   }
   for (const Candidate& c : candidates) {
-    QueryStats evalStats;
-    const double globalSkyProb = coordinator_.evaluateGlobally(
-        c, /*pruneLocal=*/false, evalStats, mask);
-    stats.broadcasts += evalStats.broadcasts;
+    const double globalSkyProb = evaluateGlobally(coordinator_, c, mask);
+    ++stats.broadcasts;
     if (globalSkyProb >= config_.q) {
       addSkyline(c, globalSkyProb);
       stats.skylineChanged = true;

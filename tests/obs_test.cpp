@@ -4,11 +4,14 @@
 // BandwidthMeter on the in-process transport).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -414,6 +417,104 @@ TEST(ObsIntegrationTest, GaugesReturnToIdleAndPerSiteCountersMatchUsage) {
   EXPECT_EQ(transportBytes(snapshot),
             dsud.stats.bytesShipped + edsud.stats.bytesShipped);
   EXPECT_EQ(frames, 2 * (dsud.stats.roundTrips + edsud.stats.roundTrips));
+}
+
+std::uint64_t algoCounter(const obs::MetricsSnapshot& snapshot,
+                          const char* base, const std::string& algo) {
+  const std::uint64_t* value =
+      snapshot.counter(obs::labeled(base, {{"algo", algo}}));
+  EXPECT_NE(value, nullptr) << base << " " << algo;
+  return value == nullptr ? 0 : *value;
+}
+
+// A run keeps one tally: its EXPLAIN rows sum to its QueryStats, and the
+// per-algorithm counters it feeds equal that result, for every algorithm.
+TEST(ObsIntegrationTest, SiteRowsAndCountersMatchStatsForEveryAlgorithm) {
+  const Dataset global = generateSynthetic(
+      SyntheticSpec{600, 3, ValueDistribution::kAnticorrelated, 91});
+  QueryConfig config;
+  config.q = 0.3;
+  TopKConfig topk;
+  topk.k = 5;
+  topk.floorQ = 0.05;
+  const std::vector<std::pair<std::string,
+                              std::function<QueryResult(QueryEngine&)>>>
+      cases = {
+          {"naive", [&](QueryEngine& e) { return e.run(Algo::kNaive, config); }},
+          {"dsud", [&](QueryEngine& e) { return e.run(Algo::kDsud, config); }},
+          {"edsud", [&](QueryEngine& e) { return e.run(Algo::kEdsud, config); }},
+          {"topk", [&](QueryEngine& e) { return e.run(topk); }},
+      };
+  for (const auto& [algo, run] : cases) {
+    SCOPED_TRACE(algo);
+    InProcCluster cluster(Topology::uniform(global, 4, 92));
+    const QueryResult result = run(cluster.engine());
+    ASSERT_FALSE(result.skyline.empty());
+
+    SiteProfile sum;
+    for (const SiteProfile& site : result.profile.sites) {
+      sum.tuples += site.tuples;
+      sum.bytes += site.bytes;
+      sum.candidates += site.candidates;
+      sum.pruned += site.pruned;
+    }
+    EXPECT_GT(result.stats.candidatesPulled, 0u);
+    EXPECT_EQ(sum.tuples, result.stats.tuplesShipped);
+    EXPECT_EQ(sum.bytes, result.stats.bytesShipped);
+    EXPECT_EQ(sum.candidates, result.stats.candidatesPulled);
+    EXPECT_EQ(sum.pruned, result.stats.prunedAtSites);
+
+    const obs::MetricsSnapshot snapshot =
+        cluster.metricsRegistry().snapshot();
+    EXPECT_EQ(algoCounter(snapshot, "dsud_queries_total", algo), 1u);
+    EXPECT_EQ(algoCounter(snapshot, "dsud_candidates_pulled_total", algo),
+              result.stats.candidatesPulled);
+    EXPECT_EQ(algoCounter(snapshot, "dsud_expunged_total", algo),
+              result.stats.expunged);
+    EXPECT_EQ(algoCounter(snapshot, "dsud_pruned_at_sites_total", algo),
+              result.stats.prunedAtSites);
+    EXPECT_EQ(algoCounter(snapshot, "dsud_answers_total", algo),
+              result.skyline.size());
+    EXPECT_EQ(algoCounter(snapshot, "dsud_degraded_queries_total", algo), 0u);
+    const std::uint64_t rounds =
+        algoCounter(snapshot, "dsud_rounds_total", algo);
+    const auto* roundLatency = snapshot.histogram(
+        obs::labeled("dsud_round_latency_seconds", {{"algo", algo}}));
+    ASSERT_NE(roundLatency, nullptr);
+    EXPECT_EQ(roundLatency->count, rounds);
+    EXPECT_GE(rounds, result.stats.broadcasts);
+    const auto* latency = snapshot.histogram(
+        obs::labeled("dsud_query_latency_seconds", {{"algo", algo}}));
+    ASSERT_NE(latency, nullptr);
+    EXPECT_EQ(latency->count, 1u);
+  }
+}
+
+// A run that never reaches finalize() still counts the rounds and pulls it
+// made, but not as a query.
+TEST(ObsIntegrationTest, CancelledRunCountsRoundsButNotQueries) {
+  const Dataset global = generateSynthetic(
+      SyntheticSpec{600, 3, ValueDistribution::kAnticorrelated, 91});
+  InProcCluster cluster(Topology::uniform(global, 4, 92));
+  QueryOptions options;
+  options.cancel = std::make_shared<std::atomic<bool>>(false);
+  options.progress = [&](const GlobalSkylineEntry&, const ProgressPoint&) {
+    options.cancel->store(true);
+  };
+  QueryConfig config;
+  config.q = 0.3;
+  EXPECT_THROW(cluster.engine().run(Algo::kEdsud, config, options),
+               QueryCancelled);
+
+  const obs::MetricsSnapshot snapshot = cluster.metricsRegistry().snapshot();
+  EXPECT_GT(algoCounter(snapshot, "dsud_rounds_total", "edsud"), 0u);
+  EXPECT_GT(algoCounter(snapshot, "dsud_candidates_pulled_total", "edsud"),
+            0u);
+  EXPECT_EQ(algoCounter(snapshot, "dsud_answers_total", "edsud"), 1u);
+  EXPECT_EQ(algoCounter(snapshot, "dsud_queries_total", "edsud"), 0u);
+  const auto* latency = snapshot.histogram(
+      obs::labeled("dsud_query_latency_seconds", {{"algo", "edsud"}}));
+  EXPECT_TRUE(latency == nullptr || latency->count == 0u);
 }
 
 TEST(ObsIntegrationTest, TraceCapacityZeroDisablesTracing) {
