@@ -225,6 +225,10 @@ PRTree::LeafEntry PRTree::makeEntry(TupleId id, std::span<const double> values,
   if (!(prob > 0.0) || prob > 1.0) {
     throw std::invalid_argument("PRTree: probability must be in (0, 1]");
   }
+  if (!std::all_of(values.begin(), values.end(),
+                   [](double v) { return std::isfinite(v); })) {
+    throw std::invalid_argument("PRTree: coordinates must be finite");
+  }
   LeafEntry e;
   std::copy(values.begin(), values.end(), e.values.begin());
   e.prob = prob;
@@ -450,7 +454,9 @@ std::uint32_t PRTree::split(std::uint32_t node) {
     for (std::size_t k = minE; k + minE <= total; ++k) {
       marginSum += prefix[k - 1].margin() + suffix[k].margin();
     }
-    if (marginSum < bestMarginSum) {
+    // An overflowing margin (coordinates near the double range) compares
+    // false; the first axis then stands in, since any order is a valid split.
+    if (bestOrder.empty() || marginSum < bestMarginSum) {
       bestMarginSum = marginSum;
       bestOrder = order;
     }
@@ -536,6 +542,9 @@ std::uint32_t PRTree::insertRecurse(std::uint32_t node, const LeafEntry& e) {
         bestCount = c.count;
       }
     }
+    // Overflowing areas give inf/NaN enlargements that never compare less;
+    // any child is a valid home, so fall back to the first.
+    if (best == kNoNode) best = kids[0];
     const std::uint32_t sibling = insertRecurse(best, e);
     if (sibling != kNoNode) {
       NodeHeader& h = header(node);

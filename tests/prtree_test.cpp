@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -70,6 +71,28 @@ TEST(PRTreeTest, InsertValidation) {
   EXPECT_THROW(tree.insert(0, wrongDims, 0.5), std::invalid_argument);
   EXPECT_THROW(tree.insert(0, v, 0.0), std::invalid_argument);
   EXPECT_THROW(tree.insert(0, v, 1.5), std::invalid_argument);
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::array<double, 2> nan = {std::nan(""), 2.0};
+  const std::array<double, 2> infinite = {1.0, -inf};
+  EXPECT_THROW(tree.insert(0, nan, 0.5), std::invalid_argument);
+  EXPECT_THROW(tree.insert(0, infinite, 0.5), std::invalid_argument);
+  EXPECT_EQ(tree.size(), 0u);
+}
+
+TEST(PRTreeTest, InsertSurvivesOverflowingGeometry) {
+  // Finite coordinates near the double range overflow node areas and
+  // margins to inf or NaN, so no child compares as needing the least
+  // enlargement and no split axis as having the least margin.  Every insert
+  // must still land.
+  PRTree tree(2);
+  for (TupleId id = 0; id < 64; ++id) {
+    const double huge = (id % 2 == 0 ? -1e307 : 1e307) * double(id % 7 + 1);
+    const std::array<double, 2> v = {id % 3 == 0 ? huge : 0.5 + 1e-3 * id,
+                                      id % 5 == 0 ? -huge : 0.5};
+    tree.insert(id, v, 0.5);
+  }
+  EXPECT_EQ(tree.size(), 64u);
+  tree.checkInvariants();
 }
 
 TEST(PRTreeTest, NodeProbabilityAggregatesMatchPaperExample) {
