@@ -28,6 +28,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/dataset.hpp"
@@ -110,6 +114,172 @@ struct TopKConfig {
 };
 
 // ---------------------------------------------------------------------------
+// Wire encoding
+//
+// A message, or a payload nested in one, declares its wire fields once, in
+// wire order:
+//
+//   static auto fields(auto& m) { return wire::fields(m.query, m.seq); }
+//
+// wire::put and wire::get walk that list, so one declaration drives both
+// directions.  The leaves are the fixed-width unsigned integers, f64, bool,
+// enums (as their underlying type) and strings; `std::vector<T>` travels as
+// a u32 count and the items, `std::optional<T>` as a bool and, when set, the
+// T.  Any other field type (a signed integer, a float) fails to compile, so
+// every field travels at the width its declared C++ type names.
+
+namespace wire {
+
+/// A field list: references to the message's members (or to wrappers such
+/// as Prob around them), in wire order.
+template <typename... F>
+auto fields(F&&... f) {
+  return std::tuple<F...>(std::forward<F>(f)...);
+}
+
+/// An existential probability: an f64 that the reader rejects unless it is
+/// in (0, 1] (NaN included).
+template <typename D>
+struct Prob {
+  D& value;
+};
+
+/// The field list of T: T's own `fields`, or one of the specialisations
+/// below for payload types defined outside the protocol.
+template <typename T>
+struct FieldList {
+  static auto of(auto& m) { return T::fields(m); }
+};
+template <>
+struct FieldList<Tuple> {
+  static auto of(auto& t) { return fields(t.id, Prob{t.prob}, t.values); }
+};
+template <typename A, typename B>
+struct FieldList<std::pair<A, B>> {
+  static auto of(auto& p) { return fields(p.first, p.second); }
+};
+template <>
+struct FieldList<obs::TraceEvent> {
+  static auto of(auto& e) {
+    return fields(e.name, e.parent, e.startNs, e.endNs, e.attrs);
+  }
+};
+/// A trace block: the span list, then the dropped-span count.
+template <>
+struct FieldList<obs::QueryTrace> {
+  static auto of(auto& t) { return fields(t.events, t.droppedEvents); }
+};
+
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+template <typename T>
+inline constexpr bool kIsOptional = false;
+template <typename T>
+inline constexpr bool kIsOptional<std::optional<T>> = true;
+template <typename T>
+inline constexpr bool kIsProb = false;
+template <typename D>
+inline constexpr bool kIsProb<Prob<D>> = true;
+
+/// A Rect travels as u8 dims, dims×f64 lo, then dims×f64 hi; the reader
+/// rejects dims outside [1, kMaxDims].
+void putRect(ByteWriter& w, const Rect& rect);
+Rect getRect(ByteReader& r);
+
+/// The fewest bytes one T can encode to: the reader's bound on a claimed
+/// vector count.
+template <typename T>
+constexpr std::size_t minSize() {
+  if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+    return sizeof(T);
+  } else if constexpr (kIsProb<T>) {
+    return sizeof(double);
+  } else if constexpr (std::is_same_v<T, std::string> || kIsVector<T>) {
+    return sizeof(std::uint32_t);
+  } else if constexpr (kIsOptional<T>) {
+    return 1;
+  } else {
+    using List = decltype(FieldList<T>::of(std::declval<T&>()));
+    return []<typename... F>(std::tuple<F...>*) {
+      return (minSize<std::remove_cvref_t<F>>() + ... + 0);
+    }(static_cast<List*>(nullptr));
+  }
+}
+
+template <typename T>
+void put(ByteWriter& w, const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    w.putBool(v);
+  } else if constexpr (std::is_enum_v<T>) {
+    put(w, static_cast<std::underlying_type_t<T>>(v));
+  } else if constexpr (std::is_same_v<T, double>) {
+    w.putF64(v);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    w.putLittleEndian(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    w.putString(v);
+  } else if constexpr (std::is_same_v<T, Rect>) {
+    putRect(w, v);
+  } else if constexpr (kIsProb<T>) {
+    w.putF64(v.value);
+  } else if constexpr (kIsOptional<T>) {
+    w.putBool(v.has_value());
+    if (v) put(w, *v);
+  } else if constexpr (kIsVector<T>) {
+    w.putU32(static_cast<std::uint32_t>(v.size()));
+    for (const auto& item : v) put(w, item);
+  } else {
+    static_assert(std::is_class_v<T>, "wire: field type has no wire width");
+    std::apply([&](const auto&... f) { (put(w, f), ...); },
+               FieldList<T>::of(v));
+  }
+}
+
+/// Reads into `v`; throws SerializeError on truncated or invalid bytes.
+template <typename T>
+void get(ByteReader& r, T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    v = r.getBool();
+  } else if constexpr (std::is_enum_v<T>) {
+    v = static_cast<T>(r.getLittleEndian<std::underlying_type_t<T>>());
+  } else if constexpr (std::is_same_v<T, double>) {
+    v = r.getF64();
+  } else if constexpr (std::is_unsigned_v<T>) {
+    v = r.getLittleEndian<T>();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v = r.getString();
+  } else if constexpr (std::is_same_v<T, Rect>) {
+    v = getRect(r);
+  } else if constexpr (kIsProb<T>) {
+    v.value = r.getF64();
+    if (!(v.value > 0.0 && v.value <= 1.0)) {
+      throw SerializeError("wire: probability outside (0, 1]");
+    }
+  } else if constexpr (kIsOptional<T>) {
+    v.reset();
+    if (r.getBool()) get(r, v.emplace());
+  } else if constexpr (kIsVector<T>) {
+    // Check the claimed count against the bytes left before allocating, so
+    // a hostile count fails here rather than in the allocator.
+    using Item = typename T::value_type;
+    static_assert(minSize<Item>() > 0);
+    const std::uint32_t n = r.getU32();
+    if (static_cast<std::size_t>(n) * minSize<Item>() > r.remaining()) {
+      throw SerializeError("wire: vector count exceeds the bytes left");
+    }
+    v.resize(n);
+    for (Item& item : v) get(r, item);
+  } else {
+    static_assert(std::is_class_v<T>, "wire: field type has no wire width");
+    std::apply([&](auto&&... f) { (get(r, f), ...); }, FieldList<T>::of(v));
+  }
+}
+
+}  // namespace wire
+
+// ---------------------------------------------------------------------------
 // Shared payloads
 
 /// The paper's quaternion ⟨i, j, P(t_ij), P_sky(t_ij, D_i)⟩, carrying the
@@ -121,25 +291,19 @@ struct Candidate {
   Tuple tuple;
   double localSkyProb = 0.0;
 
-  void encode(ByteWriter& w) const;
-  static Candidate decode(ByteReader& r);
+  static auto fields(auto& m) {
+    return wire::fields(m.site, m.localSkyProb, m.tuple);
+  }
 
   friend bool operator==(const Candidate&, const Candidate&) = default;
 };
 
-void encodeTuple(ByteWriter& w, const Tuple& t);
-Tuple decodeTuple(ByteReader& r);
-
-void encodeOptionalRect(ByteWriter& w, const std::optional<Rect>& rect);
-std::optional<Rect> decodeOptionalRect(ByteReader& r);
-
-/// Trace block: the wire form of a site-side span list, used as the
-/// kFetchTrace response body (u32 count, the events, u64 dropped).
-void encodeTraceBlock(ByteWriter& w, const obs::QueryTrace& trace);
-obs::QueryTrace decodeTraceBlock(ByteReader& r);
-
 // ---------------------------------------------------------------------------
 // Messages
+//
+// Besides its fields, each request names its frame type byte (`kType`), its
+// response (`Response`), and `serve`, which runs it on a LocalSite.  An
+// operation that returns nothing answers AckResponse.
 
 enum class MsgType : std::uint8_t {
   kPrepare = 1,
@@ -158,6 +322,16 @@ enum class MsgType : std::uint8_t {
   kStreamTuples = 14,
 };
 
+struct AckResponse {
+  static auto fields(auto&) { return wire::fields(); }
+};
+
+struct PrepareResponse {
+  std::uint64_t localSkylineSize = 0;
+
+  static auto fields(auto& m) { return wire::fields(m.localSkylineSize); }
+};
+
 struct PrepareRequest {
   QueryId query = kNoQuery;  ///< session to open (replaces any previous state)
   double q = 0.3;
@@ -170,15 +344,19 @@ struct PrepareRequest {
   /// way.
   std::uint32_t traceCapacity = 0;
 
-  void encode(ByteWriter& w) const;
-  static PrepareRequest decode(ByteReader& r);
+  static constexpr MsgType kType = MsgType::kPrepare;
+  using Response = PrepareResponse;
+  static auto fields(auto& m) {
+    return wire::fields(m.query, m.q, m.mask, m.prune, m.window,
+                        m.traceCapacity);
+  }
+  static auto serve(auto& s, const auto& r) { return s.prepare(r); }
 };
 
-struct PrepareResponse {
-  std::uint64_t localSkylineSize = 0;
+struct NextCandidateResponse {
+  std::optional<Candidate> candidate;  ///< empty when the site is exhausted
 
-  void encode(ByteWriter& w) const;
-  static PrepareResponse decode(ByteReader& r);
+  static auto fields(auto& m) { return wire::fields(m.candidate); }
 };
 
 struct NextCandidateRequest {
@@ -189,15 +367,19 @@ struct NextCandidateRequest {
   /// advancing again.  0 = no replay protection (legacy/sessionless).
   std::uint64_t seq = 0;
 
-  void encode(ByteWriter& w) const;
-  static NextCandidateRequest decode(ByteReader& r);
+  static constexpr MsgType kType = MsgType::kNextCandidate;
+  using Response = NextCandidateResponse;
+  static auto fields(auto& m) { return wire::fields(m.query, m.seq); }
+  static auto serve(auto& s, const auto& r) { return s.nextCandidate(r); }
 };
 
-struct NextCandidateResponse {
-  std::optional<Candidate> candidate;  ///< empty when the site is exhausted
+struct EvaluateResponse {
+  double survival = 1.0;  ///< Π_{t'∈D_x, t'≺t} (1 − P(t'))  (Observation 1)
+  std::uint32_t prunedCount = 0;
 
-  void encode(ByteWriter& w) const;
-  static NextCandidateResponse decode(ByteReader& r);
+  static auto fields(auto& m) {
+    return wire::fields(m.survival, m.prunedCount);
+  }
 };
 
 struct EvaluateRequest {
@@ -212,21 +394,26 @@ struct EvaluateRequest {
   /// from the site's replay cache.  0 = no replay protection.
   std::uint64_t seq = 0;
 
-  void encode(ByteWriter& w) const;
-  static EvaluateRequest decode(ByteReader& r);
+  static constexpr MsgType kType = MsgType::kEvaluate;
+  using Response = EvaluateResponse;
+  static auto fields(auto& m) {
+    return wire::fields(m.query, m.seq, m.tuple, m.mask, m.pruneLocal,
+                        m.window);
+  }
+  static auto serve(auto& s, const auto& r) { return s.evaluate(r); }
 };
 
-struct EvaluateResponse {
-  double survival = 1.0;  ///< Π_{t'∈D_x, t'≺t} (1 − P(t'))  (Observation 1)
-  std::uint32_t prunedCount = 0;
+struct ShipAllResponse {
+  std::vector<Tuple> tuples;
 
-  void encode(ByteWriter& w) const;
-  static EvaluateResponse decode(ByteReader& r);
+  static auto fields(auto& m) { return wire::fields(m.tuples); }
 };
 
 struct ShipAllRequest {
-  void encode(ByteWriter&) const {}
-  static ShipAllRequest decode(ByteReader&) { return {}; }
+  static constexpr MsgType kType = MsgType::kShipAll;
+  using Response = ShipAllResponse;
+  static auto fields(auto&) { return wire::fields(); }
+  static auto serve(auto& s, const auto&) { return s.shipAll(); }
 };
 
 /// Releases one query session's site-side state (pending skyline, window,
@@ -235,15 +422,16 @@ struct ShipAllRequest {
 struct FinishQueryRequest {
   QueryId query = kNoQuery;
 
-  void encode(ByteWriter& w) const;
-  static FinishQueryRequest decode(ByteReader& r);
+  static constexpr MsgType kType = MsgType::kFinishQuery;
+  using Response = AckResponse;
+  static auto fields(auto& m) { return wire::fields(m.query); }
+  static auto serve(auto& s, const auto& r) { return s.finishQuery(r); }
 };
 
-struct ShipAllResponse {
-  std::vector<Tuple> tuples;
+struct FetchTraceResponse {
+  obs::QueryTrace trace;
 
-  void encode(ByteWriter& w) const;
-  static ShipAllResponse decode(ByteReader& r);
+  static auto fields(auto& m) { return wire::fields(m.trace); }
 };
 
 /// Pulls one session's site-side span timeline.  The read is a snapshot —
@@ -252,25 +440,13 @@ struct ShipAllResponse {
 struct FetchTraceRequest {
   QueryId query = kNoQuery;
 
-  void encode(ByteWriter& w) const;
-  static FetchTraceRequest decode(ByteReader& r);
-};
-
-struct FetchTraceResponse {
-  obs::QueryTrace trace;
-
-  void encode(ByteWriter& w) const;
-  static FetchTraceResponse decode(ByteReader& r);
+  static constexpr MsgType kType = MsgType::kFetchTrace;
+  using Response = FetchTraceResponse;
+  static auto fields(auto& m) { return wire::fields(m.query); }
+  static auto serve(auto& s, const auto& r) { return s.fetchTrace(r); }
 };
 
 // --- Update maintenance ----------------------------------------------------
-
-struct ApplyInsertRequest {
-  Tuple tuple;
-
-  void encode(ByteWriter& w) const;
-  static ApplyInsertRequest decode(ByteReader& r);
-};
 
 struct ApplyInsertResponse {
   /// P_sky(t, D_i) after insertion (includes P(t)).
@@ -286,16 +462,19 @@ struct ApplyInsertResponse {
   /// combined dataset version, invalidating the result cache.
   std::uint64_t datasetVersion = 0;
 
-  void encode(ByteWriter& w) const;
-  static ApplyInsertResponse decode(ByteReader& r);
+  static auto fields(auto& m) {
+    return wire::fields(m.localSkyProb, m.globalUpperBound,
+                        m.dominatedReplica, m.datasetVersion);
+  }
 };
 
-struct ApplyDeleteRequest {
-  TupleId id = 0;
-  std::vector<double> values;
+struct ApplyInsertRequest {
+  Tuple tuple;
 
-  void encode(ByteWriter& w) const;
-  static ApplyDeleteRequest decode(ByteReader& r);
+  static constexpr MsgType kType = MsgType::kApplyInsert;
+  using Response = ApplyInsertResponse;
+  static auto fields(auto& m) { return wire::fields(m.tuple); }
+  static auto serve(auto& s, const auto& r) { return s.applyInsert(r); }
 };
 
 struct ApplyDeleteResponse {
@@ -305,8 +484,25 @@ struct ApplyDeleteResponse {
   /// did not exist).  See ApplyInsertResponse::datasetVersion.
   std::uint64_t datasetVersion = 0;
 
-  void encode(ByteWriter& w) const;
-  static ApplyDeleteResponse decode(ByteReader& r);
+  static auto fields(auto& m) {
+    return wire::fields(m.existed, m.prob, m.datasetVersion);
+  }
+};
+
+struct ApplyDeleteRequest {
+  TupleId id = 0;
+  std::vector<double> values;
+
+  static constexpr MsgType kType = MsgType::kApplyDelete;
+  using Response = ApplyDeleteResponse;
+  static auto fields(auto& m) { return wire::fields(m.id, m.values); }
+  static auto serve(auto& s, const auto& r) { return s.applyDelete(r); }
+};
+
+struct RepairDeleteResponse {
+  std::vector<Candidate> candidates;
+
+  static auto fields(auto& m) { return wire::fields(m.candidates); }
 };
 
 /// Broadcast after a delete: each site searches the region dominated by the
@@ -319,35 +515,31 @@ struct RepairDeleteRequest {
   double q = 0.3;           ///< maintained query's probability threshold
   DimMask mask = 0;         ///< maintained query's subspace; 0 = all dims
 
-  void encode(ByteWriter& w) const;
-  static RepairDeleteRequest decode(ByteReader& r);
-};
-
-struct RepairDeleteResponse {
-  std::vector<Candidate> candidates;
-
-  void encode(ByteWriter& w) const;
-  static RepairDeleteResponse decode(ByteReader& r);
+  static constexpr MsgType kType = MsgType::kRepairDelete;
+  using Response = RepairDeleteResponse;
+  static auto fields(auto& m) {
+    return wire::fields(m.deleted, m.origin, m.q, m.mask);
+  }
+  static auto serve(auto& s, const auto& r) { return s.repairDelete(r); }
 };
 
 struct ReplicaAddRequest {
   Candidate entry;  ///< site = origin site of the tuple
   double globalSkyProb = 0.0;
 
-  void encode(ByteWriter& w) const;
-  static ReplicaAddRequest decode(ByteReader& r);
+  static constexpr MsgType kType = MsgType::kReplicaAdd;
+  using Response = AckResponse;
+  static auto fields(auto& m) { return wire::fields(m.entry, m.globalSkyProb); }
+  static auto serve(auto& s, const auto& r) { return s.replicaAdd(r); }
 };
 
 struct ReplicaRemoveRequest {
   TupleId id = 0;
 
-  void encode(ByteWriter& w) const;
-  static ReplicaRemoveRequest decode(ByteReader& r);
-};
-
-struct AckResponse {
-  void encode(ByteWriter&) const {}
-  static AckResponse decode(ByteReader&) { return {}; }
+  static constexpr MsgType kType = MsgType::kReplicaRemove;
+  using Response = AckResponse;
+  static auto fields(auto& m) { return wire::fields(m.id); }
+  static auto serve(auto& s, const auto& r) { return s.replicaRemove(r); }
 };
 
 // --- Elastic membership (online join / leave / repartitioning) -------------
@@ -361,6 +553,12 @@ struct AckResponse {
 // pinned epoch's stores until they finish, so queries never block on a
 // rebalance.
 
+struct StreamTuplesResponse {
+  std::uint64_t received = 0;  ///< staging size after this batch
+
+  static auto fields(auto& m) { return wire::fields(m.received); }
+};
+
 /// One batch of tuples streamed into a staging store.  `partition` names the
 /// partition the store will serve (sanity-checked against the store's id).
 /// Batches are ordered; `seq` (per stream, starting at 1) lets the store
@@ -370,15 +568,18 @@ struct StreamTuplesRequest {
   std::uint64_t seq = 0;  ///< 0 = no replay protection
   std::vector<Tuple> tuples;
 
-  void encode(ByteWriter& w) const;
-  static StreamTuplesRequest decode(ByteReader& r);
+  static constexpr MsgType kType = MsgType::kStreamTuples;
+  using Response = StreamTuplesResponse;
+  static auto fields(auto& m) {
+    return wire::fields(m.partition, m.seq, m.tuples);
+  }
+  static auto serve(auto& s, const auto& r) { return s.streamTuples(r); }
 };
 
-struct StreamTuplesResponse {
-  std::uint64_t received = 0;  ///< staging size after this batch
+struct JoinSiteResponse {
+  std::uint64_t size = 0;  ///< tuples in the sealed store
 
-  void encode(ByteWriter& w) const;
-  static StreamTuplesResponse decode(ByteReader& r);
+  static auto fields(auto& m) { return wire::fields(m.size); }
 };
 
 /// Seals a staging store: bulk-loads the PR-tree over everything streamed so
@@ -387,15 +588,16 @@ struct StreamTuplesResponse {
 struct JoinSiteRequest {
   std::uint64_t epoch = 0;  ///< membership epoch the store joins at
 
-  void encode(ByteWriter& w) const;
-  static JoinSiteRequest decode(ByteReader& r);
+  static constexpr MsgType kType = MsgType::kJoinSite;
+  using Response = JoinSiteResponse;
+  static auto fields(auto& m) { return wire::fields(m.epoch); }
+  static auto serve(auto& s, const auto& r) { return s.joinSite(r); }
 };
 
-struct JoinSiteResponse {
-  std::uint64_t size = 0;  ///< tuples in the sealed store
+struct LeaveSiteResponse {
+  std::uint64_t sessions = 0;  ///< pinned sessions still draining
 
-  void encode(ByteWriter& w) const;
-  static JoinSiteResponse decode(ByteReader& r);
+  static auto fields(auto& m) { return wire::fields(m.sessions); }
 };
 
 /// Marks a store draining: it serves its existing (epoch-pinned) sessions to
@@ -403,47 +605,55 @@ struct JoinSiteResponse {
 struct LeaveSiteRequest {
   std::uint64_t epoch = 0;  ///< epoch that retired the store
 
-  void encode(ByteWriter& w) const;
-  static LeaveSiteRequest decode(ByteReader& r);
+  static constexpr MsgType kType = MsgType::kLeaveSite;
+  using Response = LeaveSiteResponse;
+  static auto fields(auto& m) { return wire::fields(m.epoch); }
+  static auto serve(auto& s, const auto& r) { return s.leaveSite(r); }
 };
 
-struct LeaveSiteResponse {
-  std::uint64_t sessions = 0;  ///< pinned sessions still draining
-
-  void encode(ByteWriter& w) const;
-  static LeaveSiteResponse decode(ByteReader& r);
-};
+/// Every request, for code that walks them all (SiteServer's dispatch
+/// table, the robustness tests).
+using SiteRequests =
+    std::tuple<PrepareRequest, NextCandidateRequest, EvaluateRequest,
+               ShipAllRequest, ApplyInsertRequest, ApplyDeleteRequest,
+               RepairDeleteRequest, ReplicaAddRequest, ReplicaRemoveRequest,
+               FinishQueryRequest, FetchTraceRequest, JoinSiteRequest,
+               LeaveSiteRequest, StreamTuplesRequest>;
 
 // ---------------------------------------------------------------------------
 // Framing helpers
 
-/// Builds a frame: MsgType byte + encoded body.
-template <typename Msg>
-Frame toFrame(MsgType type, const Msg& msg) {
+/// Builds a request frame: the request's type byte, then its fields.
+template <typename Req>
+Frame toFrame(const Req& request) {
   ByteWriter w;
-  w.putU8(static_cast<std::uint8_t>(type));
-  msg.encode(w);
+  w.putU8(static_cast<std::uint8_t>(Req::kType));
+  wire::put(w, request);
   return std::move(w).take();
 }
 
-/// Reads and returns the type byte, leaving `r` at the body.
-MsgType frameType(ByteReader& r);
-
-/// Decodes a response frame that has no leading type byte.
+/// Decodes the rest of `r` as one Msg; trailing bytes are an error.
 template <typename Msg>
-Msg fromResponseFrame(const Frame& frame) {
-  ByteReader r(frame);
-  Msg msg = Msg::decode(r);
+Msg decodeBody(ByteReader& r) {
+  Msg msg;
+  wire::get(r, msg);
   r.expectEnd();
   return msg;
 }
 
-/// Encodes a response frame (responses carry no type byte; the request
+/// Decodes a response frame (responses carry no type byte; the request
 /// determines the expected response type).
+template <typename Msg>
+Msg fromResponseFrame(const Frame& frame) {
+  ByteReader r(frame);
+  return decodeBody<Msg>(r);
+}
+
+/// Encodes a response frame.
 template <typename Msg>
 Frame toResponseFrame(const Msg& msg) {
   ByteWriter w;
-  msg.encode(w);
+  wire::put(w, msg);
   return std::move(w).take();
 }
 

@@ -109,6 +109,17 @@ Frame RpcSiteHandle::retryingRoundTrip(const Frame& request) {
   }
 }
 
+template <typename Req>
+typename Req::Response RpcSiteHandle::call(const Req& request) {
+  return fromResponseFrame<typename Req::Response>(roundTrip(toFrame(request)));
+}
+
+template <typename Req>
+typename Req::Response RpcSiteHandle::retryingCall(const Req& request) {
+  return fromResponseFrame<typename Req::Response>(
+      retryingRoundTrip(toFrame(request)));
+}
+
 void RpcSiteHandle::countTuples(std::uint64_t toSite, std::uint64_t fromSite) {
   if (toSite == 0 && fromSite == 0) return;
   if (meter_ != nullptr) meter_->recordTuples(site_, toSite, fromSite);
@@ -117,8 +128,7 @@ void RpcSiteHandle::countTuples(std::uint64_t toSite, std::uint64_t fromSite) {
 
 PrepareResponse RpcSiteHandle::prepare(const PrepareRequest& request) {
   // Idempotent: a replayed kPrepare replaces the session wholesale.
-  const Frame response = retryingRoundTrip(toFrame(MsgType::kPrepare, request));
-  return fromResponseFrame<PrepareResponse>(response);
+  return retryingCall(request);
 }
 
 NextCandidateResponse RpcSiteHandle::nextCandidate(
@@ -128,9 +138,7 @@ NextCandidateResponse RpcSiteHandle::nextCandidate(
   // frame, hence the same seq.
   NextCandidateRequest numbered = request;
   numbered.seq = ++nextSeq_;
-  const Frame response =
-      retryingRoundTrip(toFrame(MsgType::kNextCandidate, numbered));
-  auto msg = fromResponseFrame<NextCandidateResponse>(response);
+  auto msg = retryingCall(numbered);
   countTuples(0, msg.candidate.has_value() ? 1 : 0);
   return msg;
 }
@@ -141,17 +149,14 @@ EvaluateResponse RpcSiteHandle::evaluate(const EvaluateRequest& request) {
   // happen exactly once per logical delivery.
   EvaluateRequest numbered = request;
   numbered.seq = ++evalSeq_;
-  const Frame response =
-      retryingRoundTrip(toFrame(MsgType::kEvaluate, numbered));
+  auto msg = retryingCall(numbered);
   countTuples(1, 0);
-  return fromResponseFrame<EvaluateResponse>(response);
+  return msg;
 }
 
 ShipAllResponse RpcSiteHandle::shipAll() {
   // Pure read: safe to replay.
-  const Frame response =
-      retryingRoundTrip(toFrame(MsgType::kShipAll, ShipAllRequest{}));
-  auto msg = fromResponseFrame<ShipAllResponse>(response);
+  auto msg = retryingCall(ShipAllRequest{});
   countTuples(0, msg.tuples.size());
   return msg;
 }
@@ -159,9 +164,7 @@ ShipAllResponse RpcSiteHandle::shipAll() {
 FetchTraceResponse RpcSiteHandle::fetchTrace(
     const FetchTraceRequest& request) {
   // Snapshot read (the site does not clear on fetch): safe to replay.
-  const Frame response =
-      retryingRoundTrip(toFrame(MsgType::kFetchTrace, request));
-  return fromResponseFrame<FetchTraceResponse>(response);
+  return retryingCall(request);
 }
 
 void RpcSiteHandle::finishQuery(const FinishQueryRequest& request) {
@@ -169,28 +172,23 @@ void RpcSiteHandle::finishQuery(const FinishQueryRequest& request) {
   // idempotent (sites drop unknown ids), so it shares the retry budget —
   // otherwise a transient fault on the final frame would silently leak the
   // site-side session and skew the run's round-trip accounting.
-  const Frame response =
-      retryingRoundTrip(toFrame(MsgType::kFinishQuery, request));
-  fromResponseFrame<AckResponse>(response);
+  retryingCall(request);
 }
 
 ApplyInsertResponse RpcSiteHandle::applyInsert(
     const ApplyInsertRequest& request) {
   // Injection of a site-local event: not a network tuple.
-  const Frame response = roundTrip(toFrame(MsgType::kApplyInsert, request));
-  return fromResponseFrame<ApplyInsertResponse>(response);
+  return call(request);
 }
 
 ApplyDeleteResponse RpcSiteHandle::applyDelete(
     const ApplyDeleteRequest& request) {
-  const Frame response = roundTrip(toFrame(MsgType::kApplyDelete, request));
-  return fromResponseFrame<ApplyDeleteResponse>(response);
+  return call(request);
 }
 
 RepairDeleteResponse RpcSiteHandle::repairDelete(
     const RepairDeleteRequest& request) {
-  const Frame response = roundTrip(toFrame(MsgType::kRepairDelete, request));
-  auto msg = fromResponseFrame<RepairDeleteResponse>(response);
+  auto msg = call(request);
   // The origin site already knows the deleted tuple; only remote deliveries
   // ship it.
   countTuples(request.origin == site_ ? 0 : 1, msg.candidates.size());
@@ -198,16 +196,14 @@ RepairDeleteResponse RpcSiteHandle::repairDelete(
 }
 
 void RpcSiteHandle::replicaAdd(const ReplicaAddRequest& request) {
-  const Frame response = roundTrip(toFrame(MsgType::kReplicaAdd, request));
-  fromResponseFrame<AckResponse>(response);
+  call(request);
   // The origin site already holds the tuple; shipping to it is id-only in a
   // real deployment.
   countTuples(request.entry.site == site_ ? 0 : 1, 0);
 }
 
 void RpcSiteHandle::replicaRemove(const ReplicaRemoveRequest& request) {
-  const Frame response = roundTrip(toFrame(MsgType::kReplicaRemove, request));
-  fromResponseFrame<AckResponse>(response);
+  call(request);
 }
 
 StreamTuplesResponse RpcSiteHandle::streamTuples(
@@ -217,9 +213,7 @@ StreamTuplesResponse RpcSiteHandle::streamTuples(
   // the store's replay cache drops the duplicates.
   StreamTuplesRequest numbered = request;
   numbered.seq = ++streamSeq_;
-  const Frame response =
-      retryingRoundTrip(toFrame(MsgType::kStreamTuples, numbered));
-  auto msg = fromResponseFrame<StreamTuplesResponse>(response);
+  auto msg = retryingCall(numbered);
   // Repartition traffic moves real tuples; it shares the paper's bandwidth
   // accounting so the churn bench can report the cost of a rebalance.
   countTuples(request.tuples.size(), 0);
@@ -228,16 +222,12 @@ StreamTuplesResponse RpcSiteHandle::streamTuples(
 
 JoinSiteResponse RpcSiteHandle::joinSite(const JoinSiteRequest& request) {
   // Idempotent (a live store just acks): safe to retry.
-  const Frame response =
-      retryingRoundTrip(toFrame(MsgType::kJoinSite, request));
-  return fromResponseFrame<JoinSiteResponse>(response);
+  return retryingCall(request);
 }
 
 LeaveSiteResponse RpcSiteHandle::leaveSite(const LeaveSiteRequest& request) {
   // Idempotent: draining is a latch.
-  const Frame response =
-      retryingRoundTrip(toFrame(MsgType::kLeaveSite, request));
-  return fromResponseFrame<LeaveSiteResponse>(response);
+  return retryingCall(request);
 }
 
 }  // namespace dsud

@@ -182,6 +182,13 @@ class RpcSiteHandle final : public SiteHandle {
   /// idempotent (full session replace), kShipAll is pure, and
   /// kNextCandidate/kEvaluate carry a seq number the site deduplicates on.
   Frame retryingRoundTrip(const Frame& request);
+  /// Frames `request` under its declared type byte, sends it through
+  /// roundTrip (call) or retryingRoundTrip (retryingCall), and decodes the
+  /// request's declared response.
+  template <typename Req>
+  typename Req::Response call(const Req& request);
+  template <typename Req>
+  typename Req::Response retryingCall(const Req& request);
   void countTuples(std::uint64_t toSite, std::uint64_t fromSite);
 
   SiteId site_;
