@@ -13,11 +13,6 @@ void ByteWriter::putString(std::string_view s) {
   buf_.insert(buf_.end(), data, data + s.size());
 }
 
-void ByteWriter::putF64Vector(std::span<const double> v) {
-  putU32(static_cast<std::uint32_t>(v.size()));
-  for (double x : v) putF64(x);
-}
-
 std::uint8_t ByteReader::getU8() {
   require(1);
   return std::to_integer<std::uint8_t>(bytes_[pos_++]);
@@ -38,15 +33,6 @@ std::string ByteReader::getString() {
   require(n);
   std::string out(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
   pos_ += n;
-  return out;
-}
-
-std::vector<double> ByteReader::getF64Vector() {
-  const std::uint32_t n = getU32();
-  require(static_cast<std::size_t>(n) * sizeof(double));
-  std::vector<double> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) out.push_back(getF64());
   return out;
 }
 

@@ -64,17 +64,6 @@ TEST(SerializeTest, StringRoundTrip) {
   EXPECT_EQ(r.getString(), "");
 }
 
-TEST(SerializeTest, F64VectorRoundTrip) {
-  const std::vector<double> v = {1.0, -2.0, 3.5};
-  ByteWriter w;
-  w.putF64Vector(v);
-  w.putF64Vector({});
-  ByteReader r(w.bytes());
-  EXPECT_EQ(r.getF64Vector(), v);
-  EXPECT_TRUE(r.getF64Vector().empty());
-  r.expectEnd();
-}
-
 TEST(SerializeTest, BytesRoundTrip) {
   ByteWriter inner;
   inner.putU32(42);
@@ -91,13 +80,6 @@ TEST(SerializeTest, UnderflowThrows) {
   w.putU16(7);
   ByteReader r(w.bytes());
   EXPECT_THROW(r.getU32(), SerializeError);
-}
-
-TEST(SerializeTest, TruncatedVectorThrows) {
-  ByteWriter w;
-  w.putU32(1000);  // claims 1000 doubles, provides none
-  ByteReader r(w.bytes());
-  EXPECT_THROW(r.getF64Vector(), SerializeError);
 }
 
 TEST(SerializeTest, TruncatedStringThrows) {
