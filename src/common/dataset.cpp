@@ -73,6 +73,11 @@ std::size_t Dataset::add(TupleId id, std::span<const double> values,
   if (!(prob > 0.0) || prob > 1.0) {
     throw std::invalid_argument("Dataset::add: probability must be in (0, 1]");
   }
+  if (!std::all_of(values.begin(), values.end(),
+                   [](double v) { return std::isfinite(v); })) {
+    throw std::invalid_argument("Dataset::add: coordinates of id " +
+                                std::to_string(id) + " must be finite");
+  }
   if (!rowOf_.emplace(id, probs_.size()).second) {
     throw std::invalid_argument("Dataset::add: duplicate id " +
                                 std::to_string(id));

@@ -122,7 +122,8 @@ class Dataset {
   bool empty() const noexcept { return probs_.empty(); }
 
   /// Appends a tuple with an explicit id.  Throws std::invalid_argument on
-  /// dimension mismatch, out-of-range probability, or duplicate id.
+  /// dimension mismatch, a NaN or infinite coordinate, out-of-range
+  /// probability, or duplicate id.
   std::size_t add(TupleId id, std::span<const double> values, double prob);
 
   /// Appends a tuple, assigning the next unused sequential id.

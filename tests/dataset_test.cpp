@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace dsud {
@@ -55,6 +57,16 @@ TEST(DatasetTest, RejectsOutOfRangeProbability) {
   EXPECT_THROW(data.add(v, 0.0), std::invalid_argument);
   EXPECT_THROW(data.add(v, -0.1), std::invalid_argument);
   EXPECT_THROW(data.add(v, 1.5), std::invalid_argument);
+}
+
+TEST(DatasetTest, RejectsNonFiniteCoordinates) {
+  Dataset data(2);
+  const std::array<double, 2> nan = {std::nan(""), 2.0};
+  const std::array<double, 2> inf = {1.0,
+                                     -std::numeric_limits<double>::infinity()};
+  EXPECT_THROW(data.add(nan, 0.5), std::invalid_argument);
+  EXPECT_THROW(data.add(inf, 0.5), std::invalid_argument);
+  EXPECT_TRUE(data.empty());
 }
 
 TEST(DatasetTest, AcceptsProbabilityOne) {

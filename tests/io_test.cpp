@@ -158,6 +158,19 @@ TEST_F(IoTest, CsvBadProbabilityThrows) {
   EXPECT_THROW(loadDatasetCsv(path("badp.csv")), IoError);
 }
 
+TEST_F(IoTest, CsvInfiniteCoordinateNamesTheRow) {
+  // strtod parses "inf"; the dataset refuses it, naming the tuple's id.
+  std::ofstream out(path("inf.csv"));
+  out << "1,0.5,2.0\n7,0.5,inf\n";
+  out.close();
+  try {
+    loadDatasetCsv(path("inf.csv"));
+    FAIL() << "expected IoError";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("id 7"), std::string::npos);
+  }
+}
+
 TEST_F(IoTest, CsvEmptyFileThrows) {
   std::ofstream out(path("empty.csv"));
   out.close();
