@@ -2,11 +2,6 @@
 
 namespace dsud {
 
-void ByteWriter::putBytes(std::span<const std::byte> bytes) {
-  putU32(static_cast<std::uint32_t>(bytes.size()));
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
-}
-
 void ByteWriter::putString(std::string_view s) {
   putU32(static_cast<std::uint32_t>(s.size()));
   const auto* data = reinterpret_cast<const std::byte*>(s.data());
@@ -16,16 +11,6 @@ void ByteWriter::putString(std::string_view s) {
 std::uint8_t ByteReader::getU8() {
   require(1);
   return std::to_integer<std::uint8_t>(bytes_[pos_++]);
-}
-
-std::vector<std::byte> ByteReader::getBytes() {
-  const std::uint32_t n = getU32();
-  require(n);
-  std::vector<std::byte> out(bytes_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                             bytes_.begin() +
-                                 static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
 }
 
 std::string ByteReader::getString() {

@@ -33,16 +33,12 @@ class ByteWriter {
 
   void putU8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
 
-  void putU16(std::uint16_t v) { putLittleEndian(v); }
   void putU32(std::uint32_t v) { putLittleEndian(v); }
   void putU64(std::uint64_t v) { putLittleEndian(v); }
 
   void putF64(double v) { putU64(std::bit_cast<std::uint64_t>(v)); }
 
   void putBool(bool v) { putU8(v ? 1 : 0); }
-
-  /// Length-prefixed byte blob (u32 length).
-  void putBytes(std::span<const std::byte> bytes);
 
   /// Length-prefixed UTF-8 string (u32 length).
   void putString(std::string_view s);
@@ -71,13 +67,11 @@ class ByteReader {
   explicit ByteReader(std::span<const std::byte> bytes) : bytes_(bytes) {}
 
   std::uint8_t getU8();
-  std::uint16_t getU16() { return getLittleEndian<std::uint16_t>(); }
   std::uint32_t getU32() { return getLittleEndian<std::uint32_t>(); }
   std::uint64_t getU64() { return getLittleEndian<std::uint64_t>(); }
   double getF64() { return std::bit_cast<double>(getU64()); }
   bool getBool() { return getU8() != 0; }
 
-  std::vector<std::byte> getBytes();
   std::string getString();
 
   std::size_t remaining() const noexcept { return bytes_.size() - pos_; }

@@ -1,6 +1,7 @@
 #include "core/query_run.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -156,6 +157,51 @@ void QueryRun::annotateRetries(obs::TraceSpan& rpc, Site& site) {
   }
 }
 
+void QueryRun::send(std::vector<Rpc>& wave, Site& site,
+                    SessionRequest request, std::string_view name,
+                    obs::SpanId parent) {
+  obs::TraceSpan rpc(tracer, name, parent);
+  rpc.attr("site", site.row.site);
+  site.session->send(std::move(request));
+  wave.push_back({&site, std::move(rpc)});
+}
+
+template <typename Apply>
+void QueryRun::receive(std::vector<Rpc>& wave, Apply&& apply) {
+  std::exception_ptr failure;
+  for (Rpc& rpc : wave) {
+    Site& site = *rpc.site;
+    try {
+      SessionResponse response = site.session->receive();
+      if (!failure) apply(rpc, std::move(response));
+      annotateRetries(rpc.span, site);
+    } catch (const NetError&) {
+      if (degradeOk()) {
+        markDead(site);
+      } else if (!failure) {
+        failure = std::current_exception();
+      }
+    } catch (...) {
+      if (!failure) failure = std::current_exception();
+    }
+    rpc.span.close();
+  }
+  if (failure) std::rethrow_exception(failure);
+}
+
+std::optional<Candidate> QueryRun::pulled(Site& site, obs::TraceSpan& rpc,
+                                          NextCandidateResponse response) {
+  ++site.row.rounds;
+  if (siteTracing()) {
+    // Matches this round trip to the site-side "site.next" span carrying
+    // the same sequence number (see obs::mergeSiteTraces).
+    rpc.attr("seq", static_cast<double>(site.session->lastNextSeq()));
+  }
+  if (!response.candidate) return std::nullopt;
+  ++site.row.candidates;
+  return std::move(response.candidate);
+}
+
 void QueryRun::prepare(PrepareRequest request,
                        const std::function<void(Candidate)>& first) {
   obs::TraceSpan prepareSpan = span("prepare");
@@ -166,24 +212,27 @@ void QueryRun::prepare(PrepareRequest request,
   // Open before sending, so a mid-prepare failure still releases the sites
   // that did prepare.
   sessionsOpen = true;
+  std::vector<Rpc> wave;
+  wave.reserve(sites.size());
   for (Site& site : sites) {
-    obs::TraceSpan rpc = span("rpc.prepare");
-    rpc.attr("site", site.row.site);
-    try {
-      site.session->prepare(request);
-      annotateRetries(rpc, site);
-    } catch (const NetError&) {
-      if (!degradeOk()) throw;
-      markDead(site);
-    }
+    send(wave, site, request, "rpc.prepare", prepareSpan.id());
   }
+  receive(wave, [](Rpc&, SessionResponse&&) {});
   if (result.excludedSites.size() == sites.size()) {
     throw NetError("prepare: all sites unavailable");
   }
   result.profile.prepareSeconds = watch.elapsedSeconds();
-  for (const Site& site : sites) {
-    if (auto c = pull(site.row.site)) first(std::move(*c));
+  wave.clear();
+  for (Site& site : sites) {
+    if (site.row.dead) continue;
+    send(wave, site, NextCandidateRequest{id}, "pull", prepareSpan.id());
   }
+  receive(wave, [&](Rpc& rpc, SessionResponse&& response) {
+    if (auto c = pulled(*rpc.site, rpc.span,
+                        std::get<NextCandidateResponse>(std::move(response)))) {
+      first(std::move(*c));
+    }
+  });
 }
 
 /// Releases the site-side session state (kFinishQuery, idempotent).
@@ -192,28 +241,52 @@ void QueryRun::prepare(PrepareRequest request,
 /// spent detecting the failure.  With site tracing on this is the last
 /// chance to read the site-side spans (kFinishQuery destroys the session
 /// tracer with the rest of the session), so every live site gets one
-/// best-effort kFetchTrace first.
+/// best-effort kFetchTrace first.  Both go out as waves.
 void QueryRun::finish() noexcept {
   if (!sessionsOpen) return;
   sessionsOpen = false;
+  // A refill pull still in flight (the run ended between a broadcast and
+  // its pull, say by a throwing progress callback) holds its site's
+  // channel; receive it before the teardown waves need that channel.
+  for (Site& site : sites) {
+    if (!site.refill) continue;
+    site.refill.reset();
+    try {
+      site.session->receive();
+    } catch (...) {
+    }
+  }
   if (siteTracing()) {
-    const FetchTraceRequest fetch{id};
+    std::vector<Rpc> wave;
     for (Site& site : sites) {
       if (site.row.dead) continue;
-      obs::TraceSpan rpc = span("rpc.fetch_trace");
-      rpc.attr("site", site.row.site);
       try {
-        site.trace = site.session->fetchTrace(fetch).trace;
+        send(wave, site, FetchTraceRequest{id}, "rpc.fetch_trace", root);
+      } catch (...) {
+      }
+    }
+    for (Rpc& rpc : wave) {
+      try {
+        rpc.site->trace =
+            std::get<FetchTraceResponse>(rpc.site->session->receive()).trace;
       } catch (...) {
         // A site whose trace cannot be read still answers the query.
       }
+      rpc.span.close();
     }
   }
-  const FinishQueryRequest request{id};
+  std::vector<SiteHandle*> live;
   for (Site& site : sites) {
     if (site.row.dead) continue;
     try {
-      site.session->finishQuery(request);
+      site.session->send(FinishQueryRequest{id});
+      live.push_back(site.session.get());
+    } catch (...) {
+    }
+  }
+  for (SiteHandle* session : live) {
+    try {
+      session->receive();
     } catch (...) {
     }
   }
@@ -227,23 +300,29 @@ double QueryRun::broadcast(const Candidate& c, DimMask mask,
   double globalSkyProb = c.localSkyProb;
   const EvaluateRequest request{id, c.tuple, mask, /*pruneLocal=*/true,
                                 window};
+  std::vector<Rpc> wave;
+  wave.reserve(sites.size());
   for (Site& site : sites) {
-    if (site.row.site == c.site || site.row.dead) continue;
-    obs::TraceSpan rpc(tracer, "rpc.evaluate", broadcastSpan.id());
-    rpc.attr("site", site.row.site);
-    try {
-      const EvaluateResponse r = site.session->evaluate(request);
-      if (siteTracing()) {
-        rpc.attr("seq", static_cast<double>(site.session->lastEvalSeq()));
-      }
-      annotateRetries(rpc, site);
-      globalSkyProb *= r.survival;
-      site.row.pruned += r.prunedCount;
-    } catch (const NetError&) {
-      if (!degradeOk()) throw;
-      markDead(site);
+    if (site.row.dead) continue;
+    if (site.row.site != c.site) {
+      send(wave, site, request, "rpc.evaluate", broadcastSpan.id());
+      continue;
     }
+    // Evaluates skip the origin, so its next candidate cannot depend on
+    // them: its refill pull rides this wave, at its place in view order.
+    site.refill.emplace(tracer, "pull", broadcastSpan.id());
+    site.refill->attr("site", site.row.site);
+    site.session->send(NextCandidateRequest{id});
   }
+  receive(wave, [&](Rpc& rpc, SessionResponse&& response) {
+    const auto& r = std::get<EvaluateResponse>(response);
+    if (siteTracing()) {
+      rpc.span.attr("seq",
+                    static_cast<double>(rpc.site->session->lastEvalSeq()));
+    }
+    globalSkyProb *= r.survival;
+    rpc.site->row.pruned += r.prunedCount;
+  });
   ++result.stats.broadcasts;
   return globalSkyProb;
 }
@@ -251,20 +330,17 @@ double QueryRun::broadcast(const Candidate& c, DimMask mask,
 std::optional<Candidate> QueryRun::pull(SiteId siteId) {
   Site& site = siteById(siteId);
   if (site.row.dead) return std::nullopt;
-  obs::TraceSpan pullSpan = span("pull");
-  pullSpan.attr("site", siteId);
+  std::optional<obs::TraceSpan> refill = std::exchange(site.refill, {});
+  obs::TraceSpan pullSpan = refill ? std::move(*refill) : span("pull");
   try {
-    auto response = site.session->nextCandidate(NextCandidateRequest{id});
-    ++site.row.rounds;
-    if (siteTracing()) {
-      // Matches this round trip to the site-side "site.next" span carrying
-      // the same sequence number (see obs::mergeSiteTraces).
-      pullSpan.attr("seq", static_cast<double>(site.session->lastNextSeq()));
+    if (!refill) {
+      pullSpan.attr("site", siteId);
+      site.session->send(NextCandidateRequest{id});
     }
+    auto c = pulled(site, pullSpan,
+                    std::get<NextCandidateResponse>(site.session->receive()));
     annotateRetries(pullSpan, site);
-    if (!response.candidate) return std::nullopt;
-    ++site.row.candidates;
-    return std::move(response.candidate);
+    return c;
   } catch (const NetError&) {
     if (!degradeOk()) throw;
     markDead(site);

@@ -40,6 +40,9 @@ struct QueryRun {
     std::unique_ptr<SiteHandle> session;  ///< all session traffic goes here
     obs::QueryTrace trace;  ///< site-side spans, fetched by finish()
     SiteProfile row;        ///< this site's EXPLAIN row
+    /// The span of the refill pull `broadcast` sent with its wave; set
+    /// while that pull is in flight, until pull() receives it.
+    std::optional<obs::TraceSpan> refill;
   };
 
   Coordinator& coord;
@@ -92,24 +95,28 @@ struct QueryRun {
 
   // --- Protocol steps --------------------------------------------------------
 
-  /// Opens the site-side sessions (kPrepare to every site), then pulls each
-  /// live site's first candidate into `first`, all under one "prepare"
-  /// span.  In degraded mode an unreachable site is excluded instead of
-  /// failing the query; only losing *every* site is fatal.
+  /// Opens the site-side sessions (a wave of kPrepare to every site), then
+  /// pulls each live site's first candidate into `first` (a second wave),
+  /// all under one "prepare" span.  In degraded mode an unreachable site is
+  /// excluded instead of failing the query; only losing *every* site is
+  /// fatal.
   void prepare(PrepareRequest request,
                const std::function<void(Candidate)>& first);
 
   /// One To-Server pull from `site`: traces the round trip and counts the
-  /// candidate in the site's row.  Dead sites return nothing; in degraded
-  /// mode a site that stays unreachable is excluded instead of failing the
-  /// query.
+  /// candidate in the site's row.  Receives the refill pull the last
+  /// broadcast sent, if any, instead of sending another.  Dead sites return
+  /// nothing; in degraded mode a site that stays unreachable is excluded
+  /// instead of failing the query.
   std::optional<Candidate> pull(SiteId site);
 
   /// Server-Delivery: broadcasts `c.tuple` to every live site except its
-  /// origin, one site at a time in site order, and multiplies the returned
-  /// survival factors onto the local probability (Lemma 1).  Returns the
-  /// exact P_gsky (over the survivors, in degraded mode).  Traced as one
-  /// "broadcast" span with an "rpc.evaluate" child per site.
+  /// origin and multiplies the returned survival factors onto the local
+  /// probability in site order (Lemma 1).  Returns the exact P_gsky (over
+  /// the survivors, in degraded mode).  The evaluates go out as one wave
+  /// together with the origin's refill pull, which no evaluate can affect;
+  /// the caller's next pull(c.site) receives it.  Traced as one "broadcast"
+  /// span with an "rpc.evaluate" child per site and the refill's "pull".
   double broadcast(const Candidate& c, DimMask mask,
                    const std::optional<Rect>& window);
 
@@ -171,6 +178,26 @@ struct QueryRun {
   }
   void finish() noexcept;
   void annotateRetries(obs::TraceSpan& rpc, Site& site);
+
+  /// One request of a wave: its site and its RPC span.
+  struct Rpc {
+    Site* site;
+    obs::TraceSpan span;
+  };
+  /// Sends `request` to `site` under an RPC span `name` (a child of
+  /// `parent`) and appends it to `wave`.  Waves send in view order, so
+  /// concurrent queries lease their channels in one order.
+  void send(std::vector<Rpc>& wave, Site& site, SessionRequest request,
+            std::string_view name, obs::SpanId parent);
+  /// Receives every reply of `wave` in view order, hands each to `apply`
+  /// and then closes its span.  A transport failure marks the site dead
+  /// under kDegrade; any other failure, or any failure under kFail, is
+  /// rethrown after the last reply, so no request stays in flight.
+  template <typename Apply>
+  void receive(std::vector<Rpc>& wave, Apply&& apply);
+  /// Books one pull's response in `site`'s row and `rpc` span.
+  std::optional<Candidate> pulled(Site& site, obs::TraceSpan& rpc,
+                                  NextCandidateResponse response);
   void feedMetrics();
 };
 

@@ -4,11 +4,40 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "obs/log.hpp"
 
 namespace dsud {
+
+void SiteHandle::send(SessionRequest request) {
+  if (parked_) throw std::logic_error("SiteHandle: a request is in flight");
+  parked_ = std::move(request);
+}
+
+SessionResponse SiteHandle::receive() {
+  if (!parked_) throw std::logic_error("SiteHandle: receive without send");
+  const SessionRequest request = std::move(*parked_);
+  parked_.reset();
+  return std::visit(
+      [this](const auto& r) -> SessionResponse {
+        using Req = std::decay_t<decltype(r)>;
+        if constexpr (std::is_same_v<Req, PrepareRequest>) {
+          return prepare(r);
+        } else if constexpr (std::is_same_v<Req, NextCandidateRequest>) {
+          return nextCandidate(r);
+        } else if constexpr (std::is_same_v<Req, EvaluateRequest>) {
+          return evaluate(r);
+        } else if constexpr (std::is_same_v<Req, FetchTraceRequest>) {
+          return fetchTrace(r);
+        } else {
+          finishQuery(r);
+          return AckResponse{};
+        }
+      },
+      request);
+}
 
 RpcSiteHandle::RpcSiteHandle(SiteId site, std::shared_ptr<ChannelPool> pool,
                              BandwidthMeter* meter, QueryUsage* scope)
@@ -55,6 +84,25 @@ std::unique_ptr<SiteHandle> RpcSiteHandle::openSession(
       new RpcSiteHandle(site_, pool_, meter_, scope, fault, health, metrics));
 }
 
+RpcSiteHandle::~RpcSiteHandle() {
+  if (!inFlight_) return;
+  Exchange& x = inFlight_->second;
+  if (!x.lease || x.sendError) return;
+  try {
+    x.lease->receive();
+  } catch (...) {
+    // The channel reports its own failure to the next lease holder.
+  }
+}
+
+void RpcSiteHandle::recordCall(std::size_t requestBytes,
+                               std::size_t responseBytes) {
+  if (meter_ != nullptr) {
+    meter_->recordCall(site_, requestBytes, responseBytes);
+  }
+  if (scope_ != nullptr) scope_->recordCall(requestBytes, responseBytes);
+}
+
 Frame RpcSiteHandle::roundTrip(const Frame& request) {
   Frame response;
   {
@@ -63,25 +111,50 @@ Frame RpcSiteHandle::roundTrip(const Frame& request) {
     lease->setDeadline(fault_.deadline);
     response = lease->call(request);
   }  // lease destructor clears the scope/deadline and returns the channel
-  if (meter_ != nullptr) {
-    meter_->recordCall(site_, request.size(), response.size());
-  }
-  if (scope_ != nullptr) {
-    scope_->recordCall(request.size(), response.size());
-  }
+  recordCall(request.size(), response.size());
   return response;
 }
 
-Frame RpcSiteHandle::retryingRoundTrip(const Frame& request) {
-  if (health_ != nullptr && !health_->admit()) {
-    throw SiteFailure(site_, 0, "circuit breaker open");
+ClientChannel& RpcSiteHandle::channel(Exchange& exchange) {
+  if (!exchange.lease) {
+    exchange.lease = pool_->acquire();
+    exchange.lease->setUsageScope(scope_);
+    exchange.lease->setDeadline(fault_.deadline);
   }
+  return *exchange.lease;
+}
+
+RpcSiteHandle::Exchange RpcSiteHandle::start(Frame request) {
+  Exchange exchange{std::move(request), {}, nullptr, true};
+  if (health_ != nullptr && !health_->admit()) {
+    exchange.admitted = false;
+    return exchange;
+  }
+  try {
+    channel(exchange).send(exchange.frame);
+  } catch (...) {
+    exchange.sendError = std::current_exception();
+  }
+  return exchange;
+}
+
+Frame RpcSiteHandle::complete(Exchange& exchange) {
+  if (!exchange.admitted) throw SiteFailure(site_, 0, "circuit breaker open");
   const std::uint32_t maxAttempts =
       std::max<std::uint32_t>(fault_.retry.maxAttempts, 1);
   for (std::uint32_t attempt = 1;; ++attempt) {
     std::string why;
     try {
-      Frame response = roundTrip(request);
+      Frame response;
+      if (attempt > 1) {
+        response = channel(exchange).call(exchange.frame);
+      } else if (exchange.sendError) {
+        std::rethrow_exception(exchange.sendError);
+      } else {
+        response = exchange.lease->receive();
+      }
+      exchange.lease = {};  // clears the scope/deadline, returns the channel
+      recordCall(exchange.frame.size(), response.size());
       lastAttempts_ = attempt;
       if (health_ != nullptr) health_->recordSuccess();
       return response;
@@ -96,6 +169,7 @@ Frame RpcSiteHandle::retryingRoundTrip(const Frame& request) {
       why = e.what();
     }
     if (attempt >= maxAttempts) {
+      exchange.lease = {};
       if (health_ != nullptr) health_->recordFailure();
       throw SiteFailure(site_, attempt, why);
     }
@@ -116,8 +190,8 @@ typename Req::Response RpcSiteHandle::call(const Req& request) {
 
 template <typename Req>
 typename Req::Response RpcSiteHandle::retryingCall(const Req& request) {
-  return fromResponseFrame<typename Req::Response>(
-      retryingRoundTrip(toFrame(request)));
+  Exchange exchange = start(toFrame(request));
+  return fromResponseFrame<typename Req::Response>(complete(exchange));
 }
 
 void RpcSiteHandle::countTuples(std::uint64_t toSite, std::uint64_t fromSite) {
@@ -126,32 +200,69 @@ void RpcSiteHandle::countTuples(std::uint64_t toSite, std::uint64_t fromSite) {
   if (scope_ != nullptr) scope_->recordTuples(toSite + fromSite);
 }
 
+RpcSiteHandle::Exchange RpcSiteHandle::startSession(SessionRequest& request) {
+  // Cursor advancement is not idempotent, and under kThresholdBound an
+  // evaluate folds the delivered tuple into every pending entry's
+  // extSurvival, which must happen exactly once per logical delivery.  So
+  // both are numbered and the site deduplicates a retried delivery; every
+  // attempt replays the same frame, hence the same seq.
+  if (auto* next = std::get_if<NextCandidateRequest>(&request)) {
+    next->seq = ++nextSeq_;
+  } else if (auto* eval = std::get_if<EvaluateRequest>(&request)) {
+    eval->seq = ++evalSeq_;
+  }
+  return start(std::visit([](const auto& r) { return toFrame(r); }, request));
+}
+
+SessionResponse RpcSiteHandle::settle(const SessionRequest& request,
+                                      const Frame& frame) {
+  return std::visit(
+      [&](const auto& r) -> SessionResponse {
+        using Req = std::decay_t<decltype(r)>;
+        auto msg = fromResponseFrame<typename Req::Response>(frame);
+        // A pulled candidate and a broadcast tuple each ship one tuple;
+        // prepare, trace fetch and finish are control traffic.
+        if constexpr (std::is_same_v<Req, NextCandidateRequest>) {
+          countTuples(0, msg.candidate.has_value() ? 1 : 0);
+        } else if constexpr (std::is_same_v<Req, EvaluateRequest>) {
+          countTuples(1, 0);
+        }
+        return msg;
+      },
+      request);
+}
+
+SessionResponse RpcSiteHandle::exchange(SessionRequest request) {
+  Exchange exchange = startSession(request);
+  return settle(request, complete(exchange));
+}
+
+void RpcSiteHandle::send(SessionRequest request) {
+  if (inFlight_) {
+    throw std::logic_error("RpcSiteHandle: a request is in flight");
+  }
+  Exchange exchange = startSession(request);
+  inFlight_.emplace(std::move(request), std::move(exchange));
+}
+
+SessionResponse RpcSiteHandle::receive() {
+  if (!inFlight_) throw std::logic_error("RpcSiteHandle: receive without send");
+  auto [request, exchange] = std::move(*inFlight_);
+  inFlight_.reset();
+  return settle(request, complete(exchange));
+}
+
 PrepareResponse RpcSiteHandle::prepare(const PrepareRequest& request) {
-  // Idempotent: a replayed kPrepare replaces the session wholesale.
-  return retryingCall(request);
+  return std::get<PrepareResponse>(exchange(request));
 }
 
 NextCandidateResponse RpcSiteHandle::nextCandidate(
     const NextCandidateRequest& request) {
-  // Number the operation so the site can deduplicate a retried delivery
-  // (cursor advancement is not idempotent).  All attempts replay the same
-  // frame, hence the same seq.
-  NextCandidateRequest numbered = request;
-  numbered.seq = ++nextSeq_;
-  auto msg = retryingCall(numbered);
-  countTuples(0, msg.candidate.has_value() ? 1 : 0);
-  return msg;
+  return std::get<NextCandidateResponse>(exchange(request));
 }
 
 EvaluateResponse RpcSiteHandle::evaluate(const EvaluateRequest& request) {
-  // Numbered like nextCandidate: under kThresholdBound the site folds the
-  // delivered tuple into every pending entry's extSurvival, which must
-  // happen exactly once per logical delivery.
-  EvaluateRequest numbered = request;
-  numbered.seq = ++evalSeq_;
-  auto msg = retryingCall(numbered);
-  countTuples(1, 0);
-  return msg;
+  return std::get<EvaluateResponse>(exchange(request));
 }
 
 ShipAllResponse RpcSiteHandle::shipAll() {
@@ -164,7 +275,7 @@ ShipAllResponse RpcSiteHandle::shipAll() {
 FetchTraceResponse RpcSiteHandle::fetchTrace(
     const FetchTraceRequest& request) {
   // Snapshot read (the site does not clear on fetch): safe to replay.
-  return retryingCall(request);
+  return std::get<FetchTraceResponse>(exchange(request));
 }
 
 void RpcSiteHandle::finishQuery(const FinishQueryRequest& request) {
@@ -172,7 +283,7 @@ void RpcSiteHandle::finishQuery(const FinishQueryRequest& request) {
   // idempotent (sites drop unknown ids), so it shares the retry budget —
   // otherwise a transient fault on the final frame would silently leak the
   // site-side session and skew the run's round-trip accounting.
-  retryingCall(request);
+  exchange(request);
 }
 
 ApplyInsertResponse RpcSiteHandle::applyInsert(

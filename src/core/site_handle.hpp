@@ -7,8 +7,12 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <utility>
+#include <variant>
 
 #include "common/rng.hpp"
 #include "core/health.hpp"
@@ -19,6 +23,16 @@
 #include "net/transport.hpp"
 
 namespace dsud {
+
+/// The query-session requests a coordinator issues in waves, and their
+/// responses: alternative i of SessionResponse answers alternative i of
+/// SessionRequest.
+using SessionRequest =
+    std::variant<PrepareRequest, NextCandidateRequest, EvaluateRequest,
+                 FetchTraceRequest, FinishQueryRequest>;
+using SessionResponse =
+    std::variant<PrepareResponse, NextCandidateResponse, EvaluateResponse,
+                 FetchTraceResponse, AckResponse>;
 
 /// Typed operations the coordinator performs on one site.
 ///
@@ -39,6 +53,16 @@ class SiteHandle {
   virtual EvaluateResponse evaluate(const EvaluateRequest& request) = 0;
   virtual ShipAllResponse shipAll() = 0;
   virtual void finishQuery(const FinishQueryRequest& request) = 0;
+
+  /// Split-phase form of the session requests, so a query can have one
+  /// request in flight to every site at once: `send` issues `request`,
+  /// `receive` waits for its response, or throws what the blocking method
+  /// would.  At most one request is in flight per handle, and each `send`
+  /// is paired with one `receive`.  The default is lazy — `send` parks the
+  /// request and `receive` runs the blocking method — so a handle that
+  /// overrides only the blocking methods stays correct, just serial.
+  virtual void send(SessionRequest request);
+  virtual SessionResponse receive();
 
   virtual ApplyInsertResponse applyInsert(const ApplyInsertRequest&) = 0;
   virtual ApplyDeleteResponse applyDelete(const ApplyDeleteRequest&) = 0;
@@ -113,6 +137,9 @@ class SiteHandle {
   /// Replica switches this session performed so far (EXPLAIN profile).
   /// Non-replicated handles never fail over.
   virtual std::uint64_t failovers() const noexcept { return 0; }
+
+ private:
+  std::optional<SessionRequest> parked_;  ///< the default send's request
 };
 
 /// SiteHandle over a per-site ChannelPool with bandwidth accounting.
@@ -123,11 +150,11 @@ class SiteHandle {
 /// *injections* (ApplyInsert/ApplyDelete requests) are not counted — they
 /// model events that originate at the site itself.
 ///
-/// Every round trip leases a channel from the pool, so concurrent sessions
-/// sharing the pool never interleave frames.  When constructed with a
-/// per-query scope (via openSession), the leased channel's framing overhead
-/// and this handle's payload/tuple counts are recorded into the scope as
-/// well as the global meter.
+/// Every request leases a channel from the pool until its response has been
+/// read, so concurrent sessions sharing the pool never interleave frames.
+/// When constructed with a per-query scope (via openSession), the leased
+/// channel's framing overhead and this handle's payload/tuple counts are
+/// recorded into the scope as well as the global meter.
 class RpcSiteHandle final : public SiteHandle {
  public:
   RpcSiteHandle(SiteId site, std::shared_ptr<ChannelPool> pool,
@@ -137,6 +164,10 @@ class RpcSiteHandle final : public SiteHandle {
   /// all sessions on it).
   RpcSiteHandle(SiteId site, std::unique_ptr<ClientChannel> channel,
                 BandwidthMeter* meter);
+
+  /// Reads any response still in flight, so its channel returns to the pool
+  /// in step with the site.
+  ~RpcSiteHandle() override;
 
   SiteId siteId() const noexcept override { return site_; }
 
@@ -159,6 +190,13 @@ class RpcSiteHandle final : public SiteHandle {
 
   FetchTraceResponse fetchTrace(const FetchTraceRequest& request) override;
 
+  /// Leases, numbers, frames and writes the request at send; reads,
+  /// decodes, counts and releases the lease at receive.  A transport error
+  /// at either step is retried under the session's policy on the same
+  /// leased channel, so a wave never leases out of the order it sent in.
+  void send(SessionRequest request) override;
+  SessionResponse receive() override;
+
   std::unique_ptr<SiteHandle> openSession(QueryUsage* scope) override;
   std::unique_ptr<SiteHandle> openSession(QueryUsage* scope,
                                           const FaultOptions& fault,
@@ -176,19 +214,44 @@ class RpcSiteHandle final : public SiteHandle {
                 const FaultOptions& fault, SiteHealth* health,
                 obs::MetricsRegistry* metrics);
 
+  /// One request between its send and its response: the frame, the
+  /// channel it went out on (leased until the response, retries included),
+  /// and why the send failed, if it did.
+  struct Exchange {
+    Frame frame;
+    ChannelPool::Lease lease;
+    std::exception_ptr sendError;
+    bool admitted = true;  ///< the breaker let the request through
+  };
+
+  /// One leased call, no retry (update traffic).
   Frame roundTrip(const Frame& request);
-  /// roundTrip wrapped in the retry/breaker policy.  Only used for the
-  /// query-phase operations, whose replay semantics are safe: kPrepare is
-  /// idempotent (full session replace), kShipAll is pure, and
-  /// kNextCandidate/kEvaluate carry a seq number the site deduplicates on.
-  Frame retryingRoundTrip(const Frame& request);
+  /// Checks the breaker, leases a channel and writes `request` on it.
+  /// Never throws a transport error: `complete` reports it.
+  Exchange start(Frame request);
+  /// Reads the response of `exchange` under the retry/breaker policy: a
+  /// failed attempt replays the same frame, which is only safe for the
+  /// operations that use it — kPrepare is idempotent (full session
+  /// replace), kShipAll, kFetchTrace and kFinishQuery are pure or
+  /// idempotent, and kNextCandidate/kEvaluate/kStreamTuples carry a seq
+  /// number the site deduplicates on.
+  Frame complete(Exchange& exchange);
+  ClientChannel& channel(Exchange& exchange);
+  void recordCall(std::size_t requestBytes, std::size_t responseBytes);
   /// Frames `request` under its declared type byte, sends it through
-  /// roundTrip (call) or retryingRoundTrip (retryingCall), and decodes the
+  /// roundTrip (call) or start/complete (retryingCall), and decodes the
   /// request's declared response.
   template <typename Req>
   typename Req::Response call(const Req& request);
   template <typename Req>
   typename Req::Response retryingCall(const Req& request);
+  /// Numbers a cursor or feedback request in place, then frames and
+  /// starts it.
+  Exchange startSession(SessionRequest& request);
+  /// Decodes a session request's response and counts its tuples.
+  SessionResponse settle(const SessionRequest& request, const Frame& frame);
+  /// A blocking session request: send and receive without parking it.
+  SessionResponse exchange(SessionRequest request);
   void countTuples(std::uint64_t toSite, std::uint64_t fromSite);
 
   SiteId site_;
@@ -206,6 +269,8 @@ class RpcSiteHandle final : public SiteHandle {
   std::uint32_t lastAttempts_ = 1;
   obs::Counter* retries_ = nullptr;   // dsud_retries_total{site}
   obs::Counter* timeouts_ = nullptr;  // dsud_timeouts_total{site}
+  /// The split-phase request between send and receive.
+  std::optional<std::pair<SessionRequest, Exchange>> inFlight_;
 };
 
 }  // namespace dsud

@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
+#include <stdexcept>
 #include <utility>
 
 #include "net/transport.hpp"
@@ -26,21 +28,29 @@ class TcpClientChannel final : public ClientChannel {
       : socket_(connectTo(port, options.connectTimeout, options.noDelay)) {}
 
   Frame call(const Frame& request) override {
-    try {
-      writeFrame(socket_, request);
-      Frame response = readFrame(socket_);
-      // Real sockets carry the u32 length prefix in each direction; without
-      // this, bytesShipped undercounts by kFrameHeaderBytes per frame.
-      accountFrames(request.size(), response.size(), kFrameHeaderBytes,
-                    kFrameHeaderBytes);
-      return response;
-    } catch (const NetTimeout&) {
-      // The stream is desynchronised (the late reply could be misread as a
-      // later call's response); poison the connection so every further call
-      // fails loudly instead of silently mixing frames.
-      socket_.close();
-      throw;
+    send(request);
+    return receive();
+  }
+
+  /// Writes the request; `receive` reads the oldest unanswered response.
+  /// The site server answers frames in order, so requests may pipeline.
+  void send(const Frame& request) override {
+    poisonOnTimeout([&] { writeFrame(socket_, request); });
+    sentBytes_.push_back(request.size());
+  }
+
+  Frame receive() override {
+    if (sentBytes_.empty()) {
+      throw std::logic_error("TcpClientChannel: receive without send");
     }
+    Frame response;
+    poisonOnTimeout([&] { response = readFrame(socket_); });
+    // Real sockets carry the u32 length prefix in each direction; without
+    // this, bytesShipped undercounts by kFrameHeaderBytes per frame.
+    accountFrames(sentBytes_.front(), response.size(), kFrameHeaderBytes,
+                  kFrameHeaderBytes);
+    sentBytes_.pop_front();
+    return response;
   }
 
   void close() override { socket_.close(); }
@@ -49,7 +59,22 @@ class TcpClientChannel final : public ClientChannel {
   void onDeadlineChanged() override { setSocketTimeouts(socket_, deadline()); }
 
  private:
+  template <typename Io>
+  void poisonOnTimeout(Io&& io) {
+    try {
+      io();
+    } catch (const NetTimeout&) {
+      // The stream is desynchronised (the late reply could be misread as a
+      // later request's response); poison the connection so every further
+      // request fails loudly instead of silently mixing frames.
+      socket_.close();
+      sentBytes_.clear();
+      throw;
+    }
+  }
+
   Socket socket_;
+  std::deque<std::size_t> sentBytes_;  ///< payloads awaiting a response
 };
 
 /// Site-side server: one listener, one coordinator connection.

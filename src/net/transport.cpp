@@ -1,6 +1,8 @@
 #include "net/transport.hpp"
 
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "net/bandwidth.hpp"
 
@@ -27,6 +29,18 @@ void ClientChannel::bindAccounting(SiteId site, BandwidthMeter* meter,
   } else {
     framesOut_ = framesIn_ = bytesOut_ = bytesIn_ = nullptr;
   }
+}
+
+void ClientChannel::send(const Frame& request) {
+  if (parked_) throw std::logic_error("ClientChannel: a request is in flight");
+  parked_ = request;
+}
+
+Frame ClientChannel::receive() {
+  if (!parked_) throw std::logic_error("ClientChannel: receive without send");
+  const Frame request = std::move(*parked_);
+  parked_.reset();
+  return call(request);
 }
 
 void ClientChannel::accountFrames(std::size_t payloadOut,

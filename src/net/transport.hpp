@@ -1,8 +1,10 @@
 // Transport abstraction between the coordinator and the local sites.
 //
-// The DSUD protocol is strictly request/response: every coordinator→site
-// message receives exactly one reply.  A `ClientChannel` is the coordinator's
-// endpoint of one such link.  Two implementations exist:
+// Every coordinator→site message receives exactly one reply, in order.  A
+// `ClientChannel` is the coordinator's endpoint of one such link; besides the
+// blocking `call` it offers a split-phase `send`/`receive`, so one query can
+// have a request in flight on every site's link at once and wait out their
+// round trips together.  Two implementations exist:
 //
 //   * InProcChannel  — deterministic, single-threaded loopback used by the
 //                      benchmarks (the paper's metric, tuples shipped, is
@@ -19,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -49,6 +52,15 @@ class ClientChannel {
   /// Sends one request and blocks until its response arrives.
   virtual Frame call(const Frame& request) = 0;
 
+  /// Split-phase `call`: `send` issues the request, `receive` blocks until
+  /// its response arrives.  At most one request is in flight per channel,
+  /// and each `send` is paired with one `receive`.  The default parks the
+  /// request and runs `call` at receive, so a channel or decorator that
+  /// overrides only `call` stays correct and does its work exactly when
+  /// the caller consumes the response, as a blocking call would.
+  virtual void send(const Frame& request);
+  virtual Frame receive();
+
   /// Releases the underlying resources; further calls are invalid.
   virtual void close() {}
 
@@ -60,7 +72,8 @@ class ClientChannel {
   /// Attributes this channel's framing overhead to a per-query usage scope
   /// (null detaches).  Thread-safety contract: a channel is used by one
   /// caller at a time (ChannelPool leases are exclusive), so set the scope
-  /// while holding the lease, before `call`, and clear it before releasing.
+  /// while holding the lease, before the request, and clear it before
+  /// releasing.
   /// Virtual so decorators (net/chaos.hpp) can forward it to the channel
   /// that actually does the accounting.
   virtual void setUsageScope(QueryUsage* scope) noexcept { scope_ = scope; }
@@ -96,6 +109,7 @@ class ClientChannel {
   obs::Counter* framesIn_ = nullptr;
   obs::Counter* bytesOut_ = nullptr;
   obs::Counter* bytesIn_ = nullptr;
+  std::optional<Frame> parked_;  ///< the default send's request
 };
 
 /// Socket knobs of the TCP transport (TcpClientChannel / examples).

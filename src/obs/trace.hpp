@@ -44,10 +44,11 @@ struct QueryTrace {
   bool empty() const noexcept { return events.empty(); }
 };
 
-/// Builds one QueryTrace.  Thread-safe (the coordinator's parallel feedback
-/// broadcast may report spans from pool workers); the *parent* of a new span
-/// is the most recent still-open span, which is well-defined because the
-/// protocol's structure is sequential at the granularity we trace.
+/// Builds one QueryTrace.  Thread-safe; the *parent* of a new span is the
+/// most recent still-open span, which is well-defined because the protocol's
+/// structure is sequential at the granularity we trace.  Spans that overlap
+/// their siblings — the per-site RPCs of one wave — name their parent
+/// explicitly instead.
 class Tracer {
  public:
   /// Disabled tracer: every operation is a cheap no-op.

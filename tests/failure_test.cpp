@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
+#include <future>
+#include <iostream>
 #include <memory>
 #include <thread>
 
@@ -16,6 +19,8 @@
 #include "net/inproc_transport.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/wire.hpp"
+#include "tcp_test_cluster.hpp"
+#include "test_util.hpp"
 
 namespace dsud {
 namespace {
@@ -172,6 +177,144 @@ TEST(FailureTest, HungTcpPeerFailsAtDeadlineInsteadOfHanging) {
   // fail loudly instead of silently mixing frames.
   EXPECT_THROW(channel.call(ping), NetError);
   serverThread.join();
+}
+
+// --- Failures inside a wave over TCP ----------------------------------------
+
+constexpr std::size_t kWaveSites = 6;
+constexpr SiteId kVictim = 2;
+
+/// Six sites of anticorrelated data, where the victim's tuples all have
+/// existential probability 0.05: below the default q = 0.3, so the victim
+/// never ships a candidate, yet it receives every broadcast's evaluate.  A
+/// victim that dies mid-query therefore contributed nothing, and the
+/// degraded answer must equal the skyline of the survivors' union.
+std::vector<Dataset> waveSiteData() {
+  const Dataset global = generateSynthetic(
+      SyntheticSpec{900, 2, ValueDistribution::kAnticorrelated, 972});
+  Rng rng(973);
+  auto siteData = partitionUniform(global, kWaveSites, rng);
+  Dataset faint(siteData[kVictim].dims());
+  for (std::size_t row = 0; row < siteData[kVictim].size(); ++row) {
+    const TupleRef t = siteData[kVictim].at(row);
+    faint.add(t.id, t.values, 0.05);
+  }
+  siteData[kVictim] = std::move(faint);
+  return siteData;
+}
+
+/// The victim's server answers its first `frames` requests, then stops:
+/// its handler throws, the serve loop ends, and the connection closes.
+testutil::TcpCluster::WrapHandler stopVictimAfter(std::size_t frames) {
+  return [frames](SiteId site, FrameHandler inner) -> FrameHandler {
+    if (site != kVictim) return inner;
+    auto served = std::make_shared<std::size_t>(0);
+    return [frames, served, inner](const Frame& request) {
+      if ((*served)++ == frames) throw NetError("site server stopped");
+      return inner(request);
+    };
+  };
+}
+
+/// Runs `query` on another thread and aborts the test binary if it does not
+/// finish in time: a request left in flight would hold its site's only
+/// channel and block every later query on it.
+QueryResult runWithin(const std::function<QueryResult()>& query) {
+  auto result = std::async(std::launch::async, query);
+  if (result.wait_for(std::chrono::seconds{30}) !=
+      std::future_status::ready) {
+    std::cerr << "query over TCP hung\n";
+    std::abort();
+  }
+  return result.get();
+}
+
+TEST(FailureTest, TcpSiteStoppingInsideBroadcastWaveDegradesToSurvivors) {
+  const auto siteData = waveSiteData();
+  std::vector<Dataset> survivorData;
+  for (std::size_t i = 0; i < siteData.size(); ++i) {
+    if (i != kVictim) survivorData.push_back(siteData[i]);
+  }
+  InProcCluster reference(Topology::fromPartitions(survivorData));
+  QueryOptions degrade;
+  degrade.fault.onSiteFailure = OnSiteFailure::kDegrade;
+
+  for (const Algo algo : {Algo::kDsud, Algo::kEdsud}) {
+    SCOPED_TRACE(static_cast<int>(algo));
+    // Prepare and the first pull succeed; the first evaluate finds the
+    // server gone.
+    testutil::TcpCluster cluster(siteData, stopVictimAfter(2));
+    const QueryResult degraded = runWithin(
+        [&] { return cluster.engine().run(algo, QueryConfig{}, degrade); });
+    const QueryResult expected = reference.engine().run(algo, QueryConfig{});
+
+    EXPECT_EQ(degraded.excludedSites, std::vector<SiteId>{kVictim});
+    ASSERT_FALSE(expected.skyline.empty());
+    ASSERT_EQ(degraded.skyline.size(), expected.skyline.size());
+    for (std::size_t i = 0; i < expected.skyline.size(); ++i) {
+      EXPECT_EQ(degraded.skyline[i].tuple.id, expected.skyline[i].tuple.id);
+      EXPECT_EQ(degraded.skyline[i].globalSkyProb,
+                expected.skyline[i].globalSkyProb);
+    }
+    // And that is the centralised skyline of the survivors' union.
+    std::vector<GlobalSkylineEntry> sorted = degraded.skyline;
+    sortByGlobalProbability(sorted);
+    EXPECT_EQ(testutil::idsOf(sorted),
+              testutil::idsOf(testutil::groundTruth(survivorData, 0.3)));
+  }
+}
+
+TEST(FailureTest, TcpSiteStoppingMidQueryFailsAndReleasesEveryChannel) {
+  const auto siteData = waveSiteData();
+  testutil::TcpCluster cluster(siteData, stopVictimAfter(6));
+  try {
+    runWithin(
+        [&] { return cluster.engine().run(Algo::kEdsud, QueryConfig{}); });
+    ADD_FAILURE() << "a stopped site must fail a kFail query";
+  } catch (const SiteFailure& e) {
+    EXPECT_EQ(e.site(), kVictim);
+  }
+
+  // Had the failed query left a request in flight anywhere, its channel
+  // would still be leased and this query would block on it.
+  QueryOptions degrade;
+  degrade.fault.onSiteFailure = OnSiteFailure::kDegrade;
+  const QueryResult after = runWithin([&] {
+    return cluster.engine().run(Algo::kEdsud, QueryConfig{}, degrade);
+  });
+  EXPECT_EQ(after.excludedSites, std::vector<SiteId>{kVictim});
+  EXPECT_FALSE(after.skyline.empty());
+}
+
+TEST(FailureTest, HungTcpSiteFailsItsEvaluateAtTheDeadlineInsideAWave) {
+  // The victim answers everything but evaluates, which it sits on far
+  // beyond the query's deadline.
+  const auto siteData = waveSiteData();
+  testutil::TcpCluster cluster(
+      siteData, [](SiteId site, FrameHandler inner) -> FrameHandler {
+        if (site != kVictim) return inner;
+        return [inner](const Frame& request) {
+          if (static_cast<MsgType>(request.at(0)) == MsgType::kEvaluate) {
+            std::this_thread::sleep_for(std::chrono::milliseconds{1000});
+          }
+          return inner(request);
+        };
+      });
+  QueryOptions options;
+  options.fault.deadline = std::chrono::milliseconds{100};
+
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    runWithin([&] {
+      return cluster.engine().run(Algo::kEdsud, QueryConfig{}, options);
+    });
+    ADD_FAILURE() << "a hung site must fail a kFail query at the deadline";
+  } catch (const SiteFailure& e) {
+    EXPECT_EQ(e.site(), kVictim);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds{800})
+      << "the deadline must bound the wave, not the site's think time";
 }
 
 }  // namespace

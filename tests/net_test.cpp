@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "net/bandwidth.hpp"
 #include "net/inproc_transport.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/wire.hpp"
+#include "obs/metrics.hpp"
 
 namespace dsud {
 namespace {
@@ -143,6 +145,95 @@ TEST(TcpTransportTest, LargeFrameSurvives) {
     client.close();
   }
   serverThread.join();
+}
+
+TEST(TcpTransportTest, PipelinedRequestsAnswerInOrder) {
+  TcpSiteServer server([](const Frame& f) {
+    Frame out = f;
+    std::reverse(out.begin(), out.end());
+    return out;
+  });
+  std::thread serverThread([&server] { server.serve(); });
+  obs::MetricsRegistry metrics;
+  {
+    TcpClientChannel client(server.port());
+    client.bindAccounting(3, nullptr, &metrics);
+    client.send(frameOf({1, 2}));
+    client.send(frameOf({3, 4, 5}));
+    client.send(frameOf({6}));
+    EXPECT_EQ(client.receive(), frameOf({2, 1}));
+    EXPECT_EQ(client.receive(), frameOf({5, 4, 3}));
+    EXPECT_EQ(client.receive(), frameOf({6}));
+    EXPECT_THROW(client.receive(), std::logic_error);  // nothing in flight
+    client.close();
+  }
+  serverThread.join();
+  // Each request is accounted with its own response: 6 payload bytes and
+  // three length prefixes each way.
+  const auto counters = metrics.snapshot().counters;
+  const auto bytes = [&](const char* dir) {
+    const std::string name = obs::labeled("dsud_transport_bytes_total",
+                                          {{"site", "3"}, {"dir", dir}});
+    for (const auto& [key, value] : counters) {
+      if (key == name) return value;
+    }
+    ADD_FAILURE() << "no counter " << name;
+    return std::uint64_t{0};
+  };
+  EXPECT_EQ(bytes("out"), 6 + 3 * kFrameHeaderBytes);
+  EXPECT_EQ(bytes("in"), 6 + 3 * kFrameHeaderBytes);
+}
+
+TEST(TcpTransportTest, ReceiveTimeoutPoisonsChannel) {
+  TcpSiteServer server([](const Frame& f) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{300});
+    return f;
+  });
+  std::thread serverThread([&server] {
+    try {
+      server.serve();
+    } catch (const NetError&) {
+      // The late reply meets the poisoned connection.
+    }
+  });
+  TcpClientChannel client(server.port());
+  client.setDeadline(std::chrono::milliseconds{50});
+  client.send(frameOf({1}));
+  EXPECT_THROW(client.receive(), NetTimeout);
+  // The late reply could be misread as the next request's: the channel
+  // refuses further traffic instead.
+  EXPECT_THROW(client.send(frameOf({2})), NetError);
+  EXPECT_THROW(client.call(frameOf({3})), NetError);
+  serverThread.join();
+}
+
+/// A decorator that, like most, overrides only `call`.
+class CountingChannel final : public ClientChannel {
+ public:
+  explicit CountingChannel(FrameHandler handler) : inner_(std::move(handler)) {}
+  Frame call(const Frame& request) override {
+    ++calls;
+    return inner_.call(request);
+  }
+  int calls = 0;
+
+ private:
+  InProcChannel inner_;
+};
+
+TEST(ClientChannelTest, CallOnlyDecoratorSplitPhaseEqualsCall) {
+  CountingChannel channel([](const Frame& f) {
+    Frame out = f;
+    out.push_back(std::byte{7});
+    return out;
+  });
+  const Frame expected = channel.call(frameOf({1, 2}));
+  channel.send(frameOf({1, 2}));
+  EXPECT_EQ(channel.calls, 1) << "the default send only parks the request";
+  EXPECT_THROW(channel.send(frameOf({3})), std::logic_error);
+  EXPECT_EQ(channel.receive(), expected);
+  EXPECT_EQ(channel.calls, 2);
+  EXPECT_THROW(channel.receive(), std::logic_error);
 }
 
 TEST(TcpTransportTest, ConnectToUnboundPortFails) {
