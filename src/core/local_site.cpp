@@ -82,8 +82,10 @@ PrepareResponse LocalSite::prepare(const PrepareRequest& request) {
       session.tracer ? session.tracer->begin("site.prepare", obs::kNoSpan)
                      : obs::kNoSpan;
   const Rect* clip = session.window ? &*session.window : nullptr;
+  BbsStats bbs;
   for (ProbSkylineEntry& e : bbsSkyline(
-           tree_, {.mask = session.mask, .q = session.q, .clip = clip})) {
+           tree_, {.mask = session.mask, .q = session.q, .clip = clip},
+           &bbs)) {
     session.pending.push_back(PendingEntry{std::move(e), 1.0});
   }
   flushTreeMetricsLocked();
@@ -93,6 +95,8 @@ PrepareResponse LocalSite::prepare(const PrepareRequest& request) {
     session.tracer->attr(span, "nodes",
                          static_cast<double>(tree_.nodeAccesses() -
                                              nodesBefore));
+    session.tracer->attr(span, "evaluated",
+                         static_cast<double>(bbs.tuplesEvaluated));
     session.tracer->attr(span, "candidates", static_cast<double>(size));
     session.tracer->end(span);
   }

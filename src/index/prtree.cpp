@@ -679,6 +679,25 @@ void PRTree::clear() {
 // ---------------------------------------------------------------------------
 // Queries
 
+void PRTree::leafSurvival(std::uint32_t node, const double* const* points,
+                          std::size_t n, DimMask mask, const Rect* clip,
+                          double* out) const noexcept {
+  // Partially dominating leaf: resolve per-row via the blocked kernel.  The
+  // columns already carry kernel-neutral padding, so whole blocks run with
+  // no tail handling.
+  std::array<const double*, kMaxDims> cols;
+  for (std::size_t j = 0; j < dims_; ++j) cols[j] = leafCol(node, j);
+  const kernel::SoaBlock block{cols.data(), leafProb(node), leafLogSurv(node),
+                               header(node).fanout, padCap_, dims_};
+  const double* lo = clip == nullptr ? nullptr : clip->loSpan().data();
+  const double* hi = clip == nullptr ? nullptr : clip->hiSpan().data();
+  if (n == 1) {
+    out[0] = kernel::blockSurvival(block, points[0], mask, lo, hi);
+  } else {
+    kernel::blockSurvivalBatch(block, points, n, mask, lo, hi, out);
+  }
+}
+
 double PRTree::survivalDescend(std::uint32_t node, std::span<const double> b,
                                DimMask mask, const Rect* clip) const {
   ++nodeAccesses_;
@@ -688,17 +707,11 @@ double PRTree::survivalDescend(std::uint32_t node, std::span<const double> b,
   const bool insideClip = clip == nullptr || clip->containsRect(h.mbr);
   if (insideClip && h.mbr.fullyDominates(b, mask)) return h.survival;
   if (h.leaf) {
-    // Partially dominating leaf: resolve per-row via the blocked kernel.
-    // The columns already carry kernel-neutral padding, so whole blocks run
-    // with no tail handling.
-    std::array<const double*, kMaxDims> cols;
-    for (std::size_t j = 0; j < dims_; ++j) cols[j] = leafCol(node, j);
-    const kernel::SoaBlock block{cols.data(), leafProb(node),
-                                 leafLogSurv(node),  h.fanout,
-                                 padCap_,            dims_};
-    const double* lo = insideClip ? nullptr : clip->loSpan().data();
-    const double* hi = insideClip ? nullptr : clip->hiSpan().data();
-    return kernel::blockSurvival(block, b.data(), mask, lo, hi);
+    const double* point = b.data();
+    double survival = 1.0;
+    leafSurvival(node, &point, 1, mask, insideClip ? nullptr : clip,
+                 &survival);
+    return survival;
   }
   double product = 1.0;
   const std::uint32_t* kids = childArray(node);
@@ -708,6 +721,69 @@ double PRTree::survivalDescend(std::uint32_t node, std::span<const double> b,
   return product;
 }
 
+void PRTree::survivalDescendBatch(std::uint32_t node, const double* points,
+                                  const std::uint8_t* group, std::size_t n,
+                                  const Rect& box, DimMask mask,
+                                  const Rect* clip, double* out) const {
+  ++nodeAccesses_;
+  const NodeHeader& h = header(node);
+  // Whole-group cases first.  `box` bounds the group's points, so a node
+  // that cannot dominate its high corner dominates none of them, and one
+  // that wholly dominates its low corner dominates every one.
+  if (!h.mbr.possiblyDominates(box.hiSpan(), mask) ||
+      (clip != nullptr && !h.mbr.intersects(*clip))) {
+    std::fill(out, out + n, 1.0);
+    return;
+  }
+  const bool insideClip = clip == nullptr || clip->containsRect(h.mbr);
+  if (insideClip && h.mbr.fullyDominates(box.loSpan(), mask)) {
+    std::fill(out, out + n, h.survival);
+    return;
+  }
+  // Per point, the case split survivalDescend makes; the points this node
+  // partially dominates form the sub-group `rest`.
+  std::array<std::uint8_t, kSurvivalBatch> rest;
+  std::array<std::uint8_t, kSurvivalBatch> restAt;  // index into `out`
+  Rect restBox(dims_);
+  std::size_t m = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::span<const double> b(points + group[k] * dims_, dims_);
+    if (!h.mbr.possiblyDominates(b, mask)) {
+      out[k] = 1.0;
+    } else if (insideClip && h.mbr.fullyDominates(b, mask)) {
+      out[k] = h.survival;
+    } else {
+      rest[m] = group[k];
+      restAt[m] = static_cast<std::uint8_t>(k);
+      restBox.expand(b);
+      ++m;
+    }
+  }
+  if (m == 0) return;
+  if (h.leaf) {
+    std::array<const double*, kSurvivalBatch> partial;
+    std::array<double, kSurvivalBatch> survival;
+    for (std::size_t j = 0; j < m; ++j) partial[j] = points + rest[j] * dims_;
+    leafSurvival(node, partial.data(), m, mask, insideClip ? nullptr : clip,
+                 survival.data());
+    for (std::size_t j = 0; j < m; ++j) out[restAt[j]] = survival[j];
+    return;
+  }
+  // Each point's children multiply into its own product in child order,
+  // exactly as survivalDescend's loop does, so every result is
+  // bit-identical to the single-point descent.
+  std::array<double, kSurvivalBatch> product;
+  std::array<double, kSurvivalBatch> factor;
+  std::fill_n(product.begin(), m, 1.0);
+  const std::uint32_t* kids = childArray(node);
+  for (std::size_t i = 0; i < h.fanout; ++i) {
+    survivalDescendBatch(kids[i], points, rest.data(), m, restBox, mask, clip,
+                         factor.data());
+    for (std::size_t j = 0; j < m; ++j) product[j] *= factor[j];
+  }
+  for (std::size_t j = 0; j < m; ++j) out[restAt[j]] = product[j];
+}
+
 double PRTree::dominanceSurvival(std::span<const double> b, DimMask mask,
                                  const Rect* clip) const {
   if (b.size() != dims_) {
@@ -715,6 +791,27 @@ double PRTree::dominanceSurvival(std::span<const double> b, DimMask mask,
   }
   if (root_ == kNoNode) return 1.0;
   return survivalDescend(root_, b, mask, clip);
+}
+
+void PRTree::dominanceSurvival(std::span<const double> points, DimMask mask,
+                               const Rect* clip, std::span<double> out) const {
+  if (points.size() != out.size() * dims_) {
+    throw std::invalid_argument("PRTree::dominanceSurvival: bad batch dims");
+  }
+  if (root_ == kNoNode) {
+    std::fill(out.begin(), out.end(), 1.0);
+    return;
+  }
+  std::array<std::uint8_t, kSurvivalBatch> group;
+  std::iota(group.begin(), group.end(), std::uint8_t{0});
+  for (std::size_t start = 0; start < out.size(); start += kSurvivalBatch) {
+    const std::size_t n = std::min(kSurvivalBatch, out.size() - start);
+    const double* chunk = points.data() + start * dims_;
+    Rect box(dims_);
+    for (std::size_t k = 0; k < n; ++k) box.expand({chunk + k * dims_, dims_});
+    survivalDescendBatch(root_, chunk, group.data(), n, box, mask, clip,
+                         out.data() + start);
+  }
 }
 
 void PRTree::forEachDominating(

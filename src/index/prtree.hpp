@@ -27,6 +27,7 @@
 // deletion, as required by the paper's update protocols (Sec. 5.4).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -113,6 +114,17 @@ class PRTree {
   double dominanceSurvival(std::span<const double> b) const {
     return dominanceSurvival(b, fullMask(dims_));
   }
+
+  /// dominanceSurvival for a group of points in one descent: `points` is
+  /// row-major (`out.size()` points of dims() values) and out[i] receives
+  /// exactly the bits the single-point call returns for point i.  Each node
+  /// is read once per group and splits it into the points it cannot
+  /// dominate, the points it wholly dominates and the points that need its
+  /// children; each point's child factors multiply in the single-point
+  /// order.  Scratch lives on the stack (groups of kSurvivalBatch points,
+  /// one frame per tree level), so a call allocates nothing.
+  void dominanceSurvival(std::span<const double> points, DimMask mask,
+                         const Rect* clip, std::span<double> out) const;
 
   /// Enumerates every tuple dominating `b` (the paper's window query of
   /// Sec. 6.3).  Slower than dominanceSurvival; kept for cross-checking and
@@ -239,8 +251,22 @@ class PRTree {
                     std::vector<LeafEntry>& orphans);
   void collectEntries(std::uint32_t node, std::vector<LeafEntry>& out) const;
   void growRootIfSplit(std::uint32_t sibling);
+  /// Points per batched descent (bounds its per-level stack scratch).
+  static constexpr std::size_t kSurvivalBatch = 64;
+
+  /// Kernel survival of `n` points against a partially dominating leaf.
+  void leafSurvival(std::uint32_t node, const double* const* points,
+                    std::size_t n, DimMask mask, const Rect* clip,
+                    double* out) const noexcept;
   double survivalDescend(std::uint32_t node, std::span<const double> b,
                          DimMask mask, const Rect* clip) const;
+  /// out[k] = survivalDescend(node, point group[k]) for k < n; the group
+  /// indexes `points` (row-major), n <= kSurvivalBatch, and `box` bounds
+  /// the group's points.
+  void survivalDescendBatch(std::uint32_t node, const double* points,
+                            const std::uint8_t* group, std::size_t n,
+                            const Rect& box, DimMask mask, const Rect* clip,
+                            double* out) const;
 
   std::size_t dims_;
   Options options_;

@@ -66,6 +66,15 @@ double blockSurvivalScalar(const SoaBlock& b, const double* q, DimMask mask,
   return (acc0 * acc1) * (acc2 * acc3);
 }
 
+void blockSurvivalBatchScalar(const SoaBlock& b, const double* const* q,
+                              std::size_t n, DimMask mask,
+                              const double* clipLo, const double* clipHi,
+                              double* out) noexcept {
+  for (std::size_t k = 0; k < n; ++k) {
+    out[k] = blockSurvivalScalar(b, q[k], mask, clipLo, clipHi);
+  }
+}
+
 std::uint64_t blockDominatorsScalar(const SoaBlock& b, const double* q,
                                     DimMask mask) noexcept {
   const ActiveDims active = activeDims(mask, b.dims);
@@ -155,6 +164,18 @@ double blockSurvival(const SoaBlock& b, const double* q, DimMask mask,
     return detail::simdBlockSurvival()(b, q, mask, clipLo, clipHi);
   }
   return detail::blockSurvivalScalar(b, q, mask, clipLo, clipHi);
+}
+
+void blockSurvivalBatch(const SoaBlock& b, const double* const* q,
+                        std::size_t n, DimMask mask, const double* clipLo,
+                        const double* clipHi, double* out,
+                        Backend backend) noexcept {
+  if (backend == Backend::kAuto) backend = activeBackend();
+  if (backend == Backend::kSimd && kSimdActive) {
+    detail::simdBlockSurvivalBatch()(b, q, n, mask, clipLo, clipHi, out);
+    return;
+  }
+  detail::blockSurvivalBatchScalar(b, q, n, mask, clipLo, clipHi, out);
 }
 
 std::uint64_t blockDominators(const SoaBlock& b, const double* q, DimMask mask,

@@ -77,6 +77,15 @@ double blockSurvival(const SoaBlock& b, const double* q, DimMask mask,
                      const double* clipHi = nullptr,
                      Backend backend = Backend::kAuto) noexcept;
 
+/// blockSurvival for `n` query points against one block: out[k] receives
+/// exactly the bits blockSurvival(b, q[k], mask, clipLo, clipHi) returns.
+/// Each kBlock of rows is loaded once for every point, so resolving a group
+/// of points against the same rows (a PR-tree leaf) costs one pass.
+void blockSurvivalBatch(const SoaBlock& b, const double* const* q,
+                        std::size_t n, DimMask mask, const double* clipLo,
+                        const double* clipHi, double* out,
+                        Backend backend = Backend::kAuto) noexcept;
+
 /// Bitmask of the rows of `b` (bit i = row i, n <= 64) dominating point `q`
 /// on the selected dimensions.
 std::uint64_t blockDominators(const SoaBlock& b, const double* q, DimMask mask,
@@ -94,6 +103,10 @@ namespace detail {
 // backend explicitly.
 double blockSurvivalScalar(const SoaBlock& b, const double* q, DimMask mask,
                            const double* clipLo, const double* clipHi) noexcept;
+void blockSurvivalBatchScalar(const SoaBlock& b, const double* const* q,
+                              std::size_t n, DimMask mask,
+                              const double* clipLo, const double* clipHi,
+                              double* out) noexcept;
 std::uint64_t blockDominatorsScalar(const SoaBlock& b, const double* q,
                                     DimMask mask) noexcept;
 void survivalExponentsScalar(const SoaBlock& b, DimMask mask,
@@ -103,11 +116,15 @@ void survivalExponentsScalar(const SoaBlock& b, DimMask mask,
 // ON (null function pointers otherwise).
 using BlockSurvivalFn = double (*)(const SoaBlock&, const double*, DimMask,
                                    const double*, const double*) noexcept;
+using BlockSurvivalBatchFn = void (*)(const SoaBlock&, const double* const*,
+                                     std::size_t, DimMask, const double*,
+                                     const double*, double*) noexcept;
 using BlockDominatorsFn = std::uint64_t (*)(const SoaBlock&, const double*,
                                             DimMask) noexcept;
 using SurvivalExponentsFn = void (*)(const SoaBlock&, DimMask,
                                      double*) noexcept;
 BlockSurvivalFn simdBlockSurvival() noexcept;
+BlockSurvivalBatchFn simdBlockSurvivalBatch() noexcept;
 BlockDominatorsFn simdBlockDominators() noexcept;
 SurvivalExponentsFn simdSurvivalExponents() noexcept;
 }  // namespace detail

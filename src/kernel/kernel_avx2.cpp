@@ -92,6 +92,58 @@ double blockSurvivalAvx2(const SoaBlock& b, const double* q, DimMask mask,
   return (lane[0] * lane[1]) * (lane[2] * lane[3]);
 }
 
+// The same per-lane arithmetic as blockSurvivalAvx2, with the row blocks in
+// the outer loop so each is loaded once per group of points.  Branchless: a
+// block that dominates nothing multiplies a lane by exactly 1.0, which is
+// what skipping it does in the single-point kernel.
+void blockSurvivalBatchAvx2(const SoaBlock& b, const double* const* q,
+                            std::size_t n, DimMask mask, const double* clipLo,
+                            const double* clipHi, double* out) noexcept {
+  constexpr std::size_t kGroup = 8;  // accumulators held per pass
+  const ActiveDims active = activeDims(mask, b.dims);
+  const __m256d ones = _mm256_set1_pd(1.0);
+  for (std::size_t first = 0; first < n; first += kGroup) {
+    const std::size_t count = n - first < kGroup ? n - first : kGroup;
+    __m256d acc[kGroup];
+    for (std::size_t p = 0; p < count; ++p) acc[p] = ones;
+    for (std::size_t base = 0; base < b.padded; base += kBlock) {
+      __m256d inside = allOnes();
+      if (clipLo != nullptr) {
+        for (std::size_t d = 0; d < b.dims; ++d) {
+          const __m256d a = _mm256_loadu_pd(b.cols[d] + base);
+          inside = _mm256_and_pd(
+              inside, _mm256_cmp_pd(_mm256_set1_pd(clipLo[d]), a, _CMP_LE_OQ));
+          inside = _mm256_and_pd(
+              inside, _mm256_cmp_pd(a, _mm256_set1_pd(clipHi[d]), _CMP_LE_OQ));
+        }
+      }
+      __m256d cols[kMaxDims];
+      for (std::size_t k = 0; k < active.n; ++k) {
+        cols[k] = _mm256_loadu_pd(b.cols[active.idx[k]] + base);
+      }
+      const __m256d factor =
+          _mm256_sub_pd(ones, _mm256_loadu_pd(b.prob + base));
+      for (std::size_t p = 0; p < count; ++p) {
+        const double* point = q[first + p];
+        __m256d allLe = inside;
+        __m256d anyLt = _mm256_setzero_pd();
+        for (std::size_t k = 0; k < active.n; ++k) {
+          const __m256d qk = _mm256_broadcast_sd(point + active.idx[k]);
+          allLe = _mm256_and_pd(allLe, _mm256_cmp_pd(cols[k], qk, _CMP_LE_OQ));
+          anyLt = _mm256_or_pd(anyLt, _mm256_cmp_pd(cols[k], qk, _CMP_LT_OQ));
+        }
+        acc[p] = _mm256_mul_pd(
+            acc[p], _mm256_blendv_pd(ones, factor, _mm256_and_pd(allLe, anyLt)));
+      }
+    }
+    for (std::size_t p = 0; p < count; ++p) {
+      alignas(32) double lane[kBlock];
+      _mm256_store_pd(lane, acc[p]);
+      out[first + p] = (lane[0] * lane[1]) * (lane[2] * lane[3]);
+    }
+  }
+}
+
 std::uint64_t blockDominatorsAvx2(const SoaBlock& b, const double* q,
                                   DimMask mask) noexcept {
   const ActiveDims active = activeDims(mask, b.dims);
@@ -172,6 +224,9 @@ void survivalExponentsAvx2(const SoaBlock& b, DimMask mask,
 }  // namespace
 
 BlockSurvivalFn simdBlockSurvival() noexcept { return &blockSurvivalAvx2; }
+BlockSurvivalBatchFn simdBlockSurvivalBatch() noexcept {
+  return &blockSurvivalBatchAvx2;
+}
 BlockDominatorsFn simdBlockDominators() noexcept {
   return &blockDominatorsAvx2;
 }
@@ -186,6 +241,7 @@ SurvivalExponentsFn simdSurvivalExponents() noexcept {
 namespace dsud::kernel::detail {
 
 BlockSurvivalFn simdBlockSurvival() noexcept { return nullptr; }
+BlockSurvivalBatchFn simdBlockSurvivalBatch() noexcept { return nullptr; }
 BlockDominatorsFn simdBlockDominators() noexcept { return nullptr; }
 SurvivalExponentsFn simdSurvivalExponents() noexcept { return nullptr; }
 

@@ -9,49 +9,43 @@
 
 namespace dsud::obs {
 
-FlightRecorder::FlightRecorder(std::size_t capacity) {
-  if (capacity == 0) capacity = 1;
-  slots_.reserve(capacity);
-  for (std::size_t i = 0; i < capacity; ++i) {
-    slots_.push_back(std::make_unique<Slot>());
-  }
-}
+FlightRecorder::FlightRecorder(std::size_t capacity)
+    : slots_(std::max<std::size_t>(capacity, 1)) {}
 
 void FlightRecorder::accept(const Event& event) {
+  std::string line = eventToNdjson(event);
+  line.shrink_to_fit();
   const std::uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = *slots_[seq % slots_.size()];
-  std::lock_guard lock(slot.mutex);
-  slot.event = event;
-  slot.seq = seq;
-  slot.used.store(true, std::memory_order_relaxed);
+  Slot& slot = slots_[seq % slots_.size()];
+  {
+    std::lock_guard lock(slot.mutex);
+    slot.line.swap(line);
+    slot.wallNs = event.wallNs;
+    slot.seq = seq;
+  }
+  // `line` now holds the overwritten render; it is freed out of the lock.
 }
 
-std::vector<Event> FlightRecorder::snapshot(std::uint64_t sinceWallNs) const {
-  struct Entry {
-    std::uint64_t seq;
-    Event event;
-  };
-  std::vector<Entry> entries;
+std::vector<std::string> FlightRecorder::snapshot(
+    std::uint64_t sinceWallNs) const {
+  std::vector<std::pair<std::uint64_t, std::string>> entries;
   entries.reserve(slots_.size());
-  for (const auto& slotPtr : slots_) {
-    Slot& slot = *slotPtr;
-    if (!slot.used.load(std::memory_order_relaxed)) continue;
+  for (const Slot& slot : slots_) {
     std::lock_guard lock(slot.mutex);
-    if (slot.event.wallNs < sinceWallNs) continue;
-    entries.push_back(Entry{slot.seq, slot.event});
+    if (slot.line.empty() || slot.wallNs < sinceWallNs) continue;
+    entries.emplace_back(slot.seq, slot.line);
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
-  std::vector<Event> events;
-  events.reserve(entries.size());
-  for (auto& e : entries) events.push_back(std::move(e.event));
-  return events;
+  std::sort(entries.begin(), entries.end());  // by claim index: unique
+  std::vector<std::string> lines;
+  lines.reserve(entries.size());
+  for (auto& entry : entries) lines.push_back(std::move(entry.second));
+  return lines;
 }
 
 std::string FlightRecorder::dumpNdjson(std::uint64_t sinceWallNs) const {
   std::string out;
-  for (const Event& event : snapshot(sinceWallNs)) {
-    out += eventToNdjson(event);
+  for (const std::string& line : snapshot(sinceWallNs)) {
+    out += line;
     out.push_back('\n');
   }
   return out;

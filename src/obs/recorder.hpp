@@ -7,17 +7,17 @@
 // explain it, and anomaly() dumps the recent window to an NDJSON file
 // without anyone having had tracing enabled in advance.
 //
-// Concurrency design: writers claim a slot with one fetch_add on the ring
-// cursor, then copy the event under that slot's own mutex.  Slot mutexes
+// Concurrency design: writers render the event's NDJSON line outside any
+// lock (a slot keeps only the line — a few hundred bytes where a structured
+// copy cost a kilobyte), claim a slot with one fetch_add on the ring
+// cursor, then swap the line in under that slot's own mutex.  Slot mutexes
 // are uncontended except when the ring wraps onto a slot a reader (or a
-// lapped writer) currently holds, so accept() is effectively two atomic ops
-// plus the event copy — and, unlike a seqlock, every access is properly
-// synchronised (TSan-clean under any writer/reader interleaving).
+// lapped writer) currently holds — and, unlike a seqlock, every access is
+// properly synchronised (TSan-clean under any writer/reader interleaving).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -46,13 +46,13 @@ class FlightRecorder final : public EventSink {
     return dumpSeq_.load(std::memory_order_relaxed);
   }
 
-  /// The retained events at or after `sinceWallNs` (0 = everything), in
-  /// recording order.  Concurrent writers may overwrite slots while the
-  /// snapshot walks the ring; every returned event is internally consistent
-  /// (copied under its slot mutex), the set is racy-but-recent.
-  std::vector<Event> snapshot(std::uint64_t sinceWallNs = 0) const;
+  /// The retained events at or after `sinceWallNs` (0 = everything) as
+  /// their eventToNdjson lines, in recording order.  Concurrent writers may
+  /// overwrite slots while the snapshot walks the ring; every returned line
+  /// is whole (copied under its slot mutex), the set is racy-but-recent.
+  std::vector<std::string> snapshot(std::uint64_t sinceWallNs = 0) const;
 
-  /// snapshot() rendered as NDJSON, one event per line.
+  /// snapshot() as one NDJSON document, each line newline-terminated.
   std::string dumpNdjson(std::uint64_t sinceWallNs = 0) const;
 
   /// Directory anomaly dumps land in ("" disables file dumps; created on
@@ -77,13 +77,13 @@ class FlightRecorder final : public EventSink {
 
  private:
   struct Slot {
-    std::mutex mutex;
-    Event event;
-    std::uint64_t seq = 0;            ///< claim index, guarded by mutex
-    std::atomic<bool> used{false};
+    mutable std::mutex mutex;
+    std::string line;       ///< eventToNdjson, guarded by mutex
+    std::uint64_t wallNs = 0;
+    std::uint64_t seq = 0;  ///< claim index; used iff line is non-empty
   };
 
-  std::vector<std::unique_ptr<Slot>> slots_;
+  std::vector<Slot> slots_;
   std::atomic<std::uint64_t> next_{0};
   std::atomic<std::uint64_t> dumpSeq_{0};
   std::atomic<double> windowSeconds_{kDefaultWindowSeconds};

@@ -756,10 +756,10 @@ std::string QueryServer::debugRecorderJson() {
   doc.set("window_s", recorder.windowSeconds());
   doc.set("dump_dir", recorder.dumpDir());
   Json events = Json::array();
-  for (const obs::Event& event : recorder.snapshot()) {
-    // Each retained event re-parsed from its own NDJSON rendering: the
-    // /debug surface serves one well-formed JSON document, not raw lines.
-    events.push(Json::parse(obs::eventToNdjson(event)));
+  for (const std::string& line : recorder.snapshot()) {
+    // Each retained NDJSON line re-parsed: the /debug surface serves one
+    // well-formed JSON document, not raw lines.
+    events.push(Json::parse(line));
   }
   doc.set("events", std::move(events));
   return doc.dump();

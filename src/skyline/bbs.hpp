@@ -8,9 +8,12 @@
 //
 // which generalises the paper's single-witness rule (P₂(b)·(1−P(a)) < q) to
 // *all* known dominators of the node's low corner, computed in one aggregate
-// descent.  Each surviving leaf tuple gets its exact skyline probability from
-// a dominance-survival query, so the returned set is exactly
-// {t : P_sky(t, D) >= q} — no approximation is introduced by pruning.
+// descent.  The same low-corner survival filters a leaf's tuples one by one
+// (P(t) · survival < q), and the tuples that pass get their exact skyline
+// probabilities from one batched dominance-survival descent per leaf, so
+// the returned set is exactly {t : P_sky(t, D) >= q} — no approximation is
+// introduced by pruning, and each P_sky carries the bits a single-point
+// query would return.
 #pragma once
 
 #include <functional>
@@ -26,6 +29,7 @@ namespace dsud {
 struct BbsStats {
   std::size_t nodesVisited = 0;
   std::size_t nodesPruned = 0;
+  /// Tuples that passed the per-entry filter and got an exact P_sky.
   std::size_t tuplesEvaluated = 0;
 };
 
@@ -38,8 +42,8 @@ std::vector<ProbSkylineEntry> bbsSkyline(const PRTree& tree,
                                          BbsStats* stats = nullptr);
 
 /// Streaming variant: invokes `emit` for each qualified tuple in ascending
-/// L1-key order (the BBS progressive order).  Returning false from `emit`
-/// stops the traversal early.
+/// L1-key order (the BBS progressive order), ties broken by ascending id.
+/// Returning false from `emit` stops the traversal early.
 void bbsSkylineStream(
     const PRTree& tree, const SkylineSpec& spec,
     const std::function<bool(const ProbSkylineEntry&)>& emit);

@@ -165,6 +165,45 @@ TEST(KernelParityTest, BlockSurvivalBitIdentical) {
   }
 }
 
+// The batched kernel against the single-point one, on both backends: every
+// point of the group (more than one accumulator pass of them) must get the
+// exact bits its own blockSurvival call returns.
+TEST(KernelParityTest, BlockSurvivalBatchMatchesSinglePoint) {
+  Rng rng(4099);
+  for (std::size_t dims = 2; dims <= 8; ++dims) {
+    const Dataset data = awkwardDataset(dims, 30, rng);
+    const DatasetView view(data);
+    const SoaBlock block = blockOf(view);
+    std::vector<double> lo(dims, 0.0), hi(dims);
+    for (std::size_t d = 0; d < dims; ++d) hi[d] = rng.uniform(2.0, 8.0);
+    std::vector<const double*> points;
+    for (std::size_t qi = 0; qi < data.size(); ++qi) {
+      points.push_back(data.at(qi).values.data());
+    }
+    std::vector<Backend> backends = {Backend::kScalar};
+    if (kernel::simdAvailable()) backends.push_back(Backend::kSimd);
+    for (DimMask mask : masksFor(dims, rng)) {
+      for (const bool clipped : {false, true}) {
+        const double* clipLo = clipped ? lo.data() : nullptr;
+        const double* clipHi = clipped ? hi.data() : nullptr;
+        for (const Backend be : backends) {
+          std::vector<double> batch(points.size());
+          kernel::blockSurvivalBatch(block, points.data(), points.size(), mask,
+                                     clipLo, clipHi, batch.data(), be);
+          for (std::size_t qi = 0; qi < points.size(); ++qi) {
+            EXPECT_TRUE(bitEqual(
+                batch[qi], kernel::blockSurvival(block, points[qi], mask,
+                                                 clipLo, clipHi,
+                                                 Backend::kScalar)))
+                << "dims=" << dims << " mask=" << mask << " q=" << qi
+                << " clipped=" << clipped;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelParityTest, SurvivalExponentsBitIdentical) {
   if (!kernel::simdAvailable()) GTEST_SKIP() << "AVX2 backend not active";
   Rng rng(271828);
@@ -233,6 +272,12 @@ TEST(KernelParityTest, EdgeProbabilitiesAndPadding) {
     EXPECT_TRUE(bitEqual(
         kernel::blockSurvival(block, probe, fullMask(2), nullptr, nullptr, be),
         0.0));
+    const double* group[2] = {probe, data.at(2).values.data()};
+    double batch[2] = {-1.0, -1.0};
+    kernel::blockSurvivalBatch(block, group, 2, fullMask(2), nullptr, nullptr,
+                               batch, be);
+    EXPECT_TRUE(bitEqual(batch[0], 0.0));
+    EXPECT_TRUE(bitEqual(batch[1], 0.0));  // row 0 (P = 1) dominates (3,3)
   }
   std::vector<double> exps(data.size());
   kernel::survivalExponents(block, fullMask(2), exps.data(), Backend::kScalar);

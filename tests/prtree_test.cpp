@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -165,6 +167,70 @@ TEST_P(PRTreeParamTest, DominanceSurvivalMatchesBruteForce) {
     EXPECT_NEAR(tree.dominanceSurvival(b, mask), bruteSurvival(data, b, mask),
                 1e-9);
   }
+}
+
+TEST_P(PRTreeParamTest, BatchedSurvivalIsBitIdenticalToSinglePoint) {
+  const Dataset data = makeData();
+  const std::size_t dims = data.dims();
+  // A small fanout makes the tree tall, so groups split at many levels;
+  // the incrementally grown tree has overlapping MBRs as well.
+  PRTree grown(dims, {.maxEntries = 6, .minEntries = 2});
+  for (std::size_t row = 0; row < data.size(); ++row) {
+    grown.insert(data.id(row), data.values(row), data.prob(row));
+  }
+  const PRTree packed = PRTree::bulkLoad(data);
+  Rng rng(GetParam().seed + 7);
+  for (int trial = 0; trial < 40; ++trial) {
+    // Group sizes cross the 64-point batch boundary; points are a mix of
+    // stored tuples (exact ties with dominators) and random space points,
+    // some of them in a tight cluster like a leaf's entries.
+    const std::size_t n = 1 + rng.below(150);
+    std::vector<double> points;
+    const double spread = trial % 2 == 0 ? 1.0 : 0.05;
+    const double base = rng.uniform(0.0, 1.0 - spread);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.below(3) == 0) {
+        const auto v = data.values(rng.below(data.size()));
+        points.insert(points.end(), v.begin(), v.end());
+      } else {
+        for (std::size_t j = 0; j < dims; ++j) {
+          points.push_back(base + spread * rng.uniform());
+        }
+      }
+    }
+    const DimMask mask =
+        static_cast<DimMask>(1 + rng.below(fullMask(dims)));
+    std::optional<Rect> clip;
+    if (trial % 3 != 0) {
+      clip.emplace(dims);
+      for (int corner = 0; corner < 2; ++corner) {
+        std::vector<double> p(dims);
+        for (double& x : p) x = rng.uniform();
+        clip->expand(p);
+      }
+    }
+    const Rect* window = clip ? &*clip : nullptr;
+    for (const PRTree* tree : std::array<const PRTree*, 2>{&packed, &grown}) {
+      std::vector<double> batched(n);
+      tree->dominanceSurvival(points, mask, window, batched);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::span<const double> b(points.data() + i * dims, dims);
+        EXPECT_EQ(batched[i], tree->dominanceSurvival(b, mask, window))
+            << "trial " << trial << " point " << i << " mask " << mask;
+      }
+    }
+  }
+}
+
+TEST(PRTreeTest, BatchedSurvivalOnEmptyTreeAndBadDims) {
+  const PRTree tree(2);
+  const std::vector<double> points = {0.5, 0.5, 0.1, 0.2};
+  std::vector<double> out(2, 0.0);
+  tree.dominanceSurvival(points, fullMask(2), nullptr, out);
+  EXPECT_EQ(out, (std::vector<double>{1.0, 1.0}));
+  std::vector<double> three(3);
+  EXPECT_THROW(tree.dominanceSurvival(points, fullMask(2), nullptr, three),
+               std::invalid_argument);
 }
 
 TEST_P(PRTreeParamTest, ForEachDominatingMatchesBruteForce) {

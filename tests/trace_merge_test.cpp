@@ -6,7 +6,6 @@
 // Perfetto-loadable JSON, and the slow-query log's `query.slow` event.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -26,6 +25,7 @@
 #include "obs/merge.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
+#include "server/json.hpp"
 #include "test_util.hpp"
 
 namespace dsud {
@@ -453,10 +453,13 @@ TEST(SiteTraceE2ETest, PerfettoExportPutsSiteSpansOnSiteTracks) {
 }
 
 /// The `query.slow` events the flight recorder retained since `sinceNs`.
-std::vector<obs::Event> slowQueryEvents(std::uint64_t sinceNs) {
-  std::vector<obs::Event> slow;
-  for (obs::Event& event : obs::flightRecorder().snapshot(sinceNs)) {
-    if (event.name == "query.slow") slow.push_back(std::move(event));
+std::vector<server::Json> slowQueryEvents(std::uint64_t sinceNs) {
+  std::vector<server::Json> slow;
+  for (const std::string& line : obs::flightRecorder().snapshot(sinceNs)) {
+    server::Json event = server::Json::parse(line);
+    if (event.find("event")->asString() == "query.slow") {
+      slow.push_back(std::move(event));
+    }
   }
   return slow;
 }
@@ -472,20 +475,21 @@ TEST(SiteTraceE2ETest, SlowQueryLogEmitsEventAndCounts) {
   const QueryResult result =
       cluster.engine().run(Algo::kEdsud, QueryConfig{}, options);
 
-  const std::vector<obs::Event> slow = slowQueryEvents(startNs);
+  const std::vector<server::Json> slow = slowQueryEvents(startNs);
   ASSERT_EQ(slow.size(), 1u);
-  EXPECT_EQ(slow[0].level, LogLevel::kWarn);
-  EXPECT_EQ(slow[0].component, "engine");
-  std::map<std::string, const obs::EventField*> fields;
-  for (const obs::EventField& f : slow[0].fields) fields[f.key] = &f;
-  ASSERT_TRUE(fields.count("query"));
-  EXPECT_EQ(fields["query"]->u, result.id);
-  ASSERT_TRUE(fields.count("algo"));
-  EXPECT_EQ(fields["algo"]->s, "edsud");
-  ASSERT_TRUE(fields.count("seconds"));
-  EXPECT_EQ(fields["seconds"]->d, result.stats.seconds);
-  ASSERT_TRUE(fields.count("tuples"));
-  EXPECT_EQ(fields["tuples"]->u, result.stats.tuplesShipped);
+  const server::Json& event = slow[0];
+  EXPECT_EQ(event.find("level")->asString(), "warn");
+  EXPECT_EQ(event.find("component")->asString(), "engine");
+  ASSERT_NE(event.find("query"), nullptr);
+  EXPECT_EQ(event.find("query")->asNumber(),
+            static_cast<double>(result.id));
+  ASSERT_NE(event.find("algo"), nullptr);
+  EXPECT_EQ(event.find("algo")->asString(), "edsud");
+  ASSERT_NE(event.find("seconds"), nullptr);
+  EXPECT_EQ(event.find("seconds")->asNumber(), result.stats.seconds);
+  ASSERT_NE(event.find("tuples"), nullptr);
+  EXPECT_EQ(event.find("tuples")->asNumber(),
+            static_cast<double>(result.stats.tuplesShipped));
 
   const char* const counter = "dsud_slow_queries_total{algo=\"edsud\"}";
   const obs::MetricsSnapshot slowSnapshot =
