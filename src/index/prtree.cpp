@@ -691,11 +691,7 @@ void PRTree::leafSurvival(std::uint32_t node, const double* const* points,
                                header(node).fanout, padCap_, dims_};
   const double* lo = clip == nullptr ? nullptr : clip->loSpan().data();
   const double* hi = clip == nullptr ? nullptr : clip->hiSpan().data();
-  if (n == 1) {
-    out[0] = kernel::blockSurvival(block, points[0], mask, lo, hi);
-  } else {
-    kernel::blockSurvivalBatch(block, points, n, mask, lo, hi, out);
-  }
+  kernel::blockSurvival(block, points, n, mask, lo, hi, out);
 }
 
 double PRTree::survivalDescend(std::uint32_t node, std::span<const double> b,

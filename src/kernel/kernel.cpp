@@ -27,13 +27,10 @@ ActiveDims activeDims(DimMask mask, std::size_t dims) noexcept {
   return a;
 }
 
-}  // namespace
-
-namespace detail {
-
-double blockSurvivalScalar(const SoaBlock& b, const double* q, DimMask mask,
-                           const double* clipLo,
-                           const double* clipHi) noexcept {
+/// One point's blockSurvival, in the blocked scalar form the AVX2 backend
+/// mirrors.
+double pointSurvival(const SoaBlock& b, const double* q, DimMask mask,
+                     const double* clipLo, const double* clipHi) noexcept {
   const ActiveDims active = activeDims(mask, b.dims);
   double acc0 = 1.0, acc1 = 1.0, acc2 = 1.0, acc3 = 1.0;
   double lane[kBlock];
@@ -66,12 +63,15 @@ double blockSurvivalScalar(const SoaBlock& b, const double* q, DimMask mask,
   return (acc0 * acc1) * (acc2 * acc3);
 }
 
-void blockSurvivalBatchScalar(const SoaBlock& b, const double* const* q,
-                              std::size_t n, DimMask mask,
-                              const double* clipLo, const double* clipHi,
-                              double* out) noexcept {
+}  // namespace
+
+namespace detail {
+
+void blockSurvivalScalar(const SoaBlock& b, const double* const* q,
+                         std::size_t n, DimMask mask, const double* clipLo,
+                         const double* clipHi, double* out) noexcept {
   for (std::size_t k = 0; k < n; ++k) {
-    out[k] = blockSurvivalScalar(b, q[k], mask, clipLo, clipHi);
+    out[k] = pointSurvival(b, q[k], mask, clipLo, clipHi);
   }
 }
 
@@ -156,26 +156,15 @@ Backend activeBackend() noexcept {
 
 const char* backendName() noexcept { return kSimdActive ? "avx2" : "scalar"; }
 
-double blockSurvival(const SoaBlock& b, const double* q, DimMask mask,
-                     const double* clipLo, const double* clipHi,
-                     Backend backend) noexcept {
+void blockSurvival(const SoaBlock& b, const double* const* q, std::size_t n,
+                   DimMask mask, const double* clipLo, const double* clipHi,
+                   double* out, Backend backend) noexcept {
   if (backend == Backend::kAuto) backend = activeBackend();
   if (backend == Backend::kSimd && kSimdActive) {
-    return detail::simdBlockSurvival()(b, q, mask, clipLo, clipHi);
-  }
-  return detail::blockSurvivalScalar(b, q, mask, clipLo, clipHi);
-}
-
-void blockSurvivalBatch(const SoaBlock& b, const double* const* q,
-                        std::size_t n, DimMask mask, const double* clipLo,
-                        const double* clipHi, double* out,
-                        Backend backend) noexcept {
-  if (backend == Backend::kAuto) backend = activeBackend();
-  if (backend == Backend::kSimd && kSimdActive) {
-    detail::simdBlockSurvivalBatch()(b, q, n, mask, clipLo, clipHi, out);
+    detail::simdBlockSurvival()(b, q, n, mask, clipLo, clipHi, out);
     return;
   }
-  detail::blockSurvivalBatchScalar(b, q, n, mask, clipLo, clipHi, out);
+  detail::blockSurvivalScalar(b, q, n, mask, clipLo, clipHi, out);
 }
 
 std::uint64_t blockDominators(const SoaBlock& b, const double* q, DimMask mask,

@@ -68,23 +68,16 @@ Backend activeBackend() noexcept;
 const char* backendName() noexcept;
 
 /// Survival product Π (1 − P(t)) over every row of `b` that dominates point
-/// `q` on the selected dimensions, accumulated in probability space (the
-/// PR-tree aggregate convention).  `clipLo`/`clipHi` (both null or both
-/// non-null, `dims` entries) restrict the product to rows inside the closed
-/// box [clipLo, clipHi].
-double blockSurvival(const SoaBlock& b, const double* q, DimMask mask,
-                     const double* clipLo = nullptr,
-                     const double* clipHi = nullptr,
-                     Backend backend = Backend::kAuto) noexcept;
-
-/// blockSurvival for `n` query points against one block: out[k] receives
-/// exactly the bits blockSurvival(b, q[k], mask, clipLo, clipHi) returns.
-/// Each kBlock of rows is loaded once for every point, so resolving a group
-/// of points against the same rows (a PR-tree leaf) costs one pass.
-void blockSurvivalBatch(const SoaBlock& b, const double* const* q,
-                        std::size_t n, DimMask mask, const double* clipLo,
-                        const double* clipHi, double* out,
-                        Backend backend = Backend::kAuto) noexcept;
+/// `q[k]` on the selected dimensions, written to out[k] for each of the `n`
+/// points, accumulated in probability space (the PR-tree aggregate
+/// convention).  `clipLo`/`clipHi` (both null or both non-null, `dims`
+/// entries) restrict the product to rows inside the closed box
+/// [clipLo, clipHi].  Each kBlock of rows is loaded once for all the points,
+/// so a group resolved against the same rows (a PR-tree leaf) costs one
+/// pass; each point's result does not depend on the rest of the group.
+void blockSurvival(const SoaBlock& b, const double* const* q, std::size_t n,
+                   DimMask mask, const double* clipLo, const double* clipHi,
+                   double* out, Backend backend = Backend::kAuto) noexcept;
 
 /// Bitmask of the rows of `b` (bit i = row i, n <= 64) dominating point `q`
 /// on the selected dimensions.
@@ -101,12 +94,9 @@ void survivalExponents(const SoaBlock& b, DimMask mask, double* out,
 namespace detail {
 // Scalar mirrors (always compiled); exposed so the parity suite can pin the
 // backend explicitly.
-double blockSurvivalScalar(const SoaBlock& b, const double* q, DimMask mask,
-                           const double* clipLo, const double* clipHi) noexcept;
-void blockSurvivalBatchScalar(const SoaBlock& b, const double* const* q,
-                              std::size_t n, DimMask mask,
-                              const double* clipLo, const double* clipHi,
-                              double* out) noexcept;
+void blockSurvivalScalar(const SoaBlock& b, const double* const* q,
+                         std::size_t n, DimMask mask, const double* clipLo,
+                         const double* clipHi, double* out) noexcept;
 std::uint64_t blockDominatorsScalar(const SoaBlock& b, const double* q,
                                     DimMask mask) noexcept;
 void survivalExponentsScalar(const SoaBlock& b, DimMask mask,
@@ -114,17 +104,14 @@ void survivalExponentsScalar(const SoaBlock& b, DimMask mask,
 
 // AVX2 backends; defined in kernel_avx2.cpp, present only when DSUD_SIMD is
 // ON (null function pointers otherwise).
-using BlockSurvivalFn = double (*)(const SoaBlock&, const double*, DimMask,
-                                   const double*, const double*) noexcept;
-using BlockSurvivalBatchFn = void (*)(const SoaBlock&, const double* const*,
-                                     std::size_t, DimMask, const double*,
-                                     const double*, double*) noexcept;
+using BlockSurvivalFn = void (*)(const SoaBlock&, const double* const*,
+                                 std::size_t, DimMask, const double*,
+                                 const double*, double*) noexcept;
 using BlockDominatorsFn = std::uint64_t (*)(const SoaBlock&, const double*,
                                             DimMask) noexcept;
 using SurvivalExponentsFn = void (*)(const SoaBlock&, DimMask,
                                      double*) noexcept;
 BlockSurvivalFn simdBlockSurvival() noexcept;
-BlockSurvivalBatchFn simdBlockSurvivalBatch() noexcept;
 BlockDominatorsFn simdBlockDominators() noexcept;
 SurvivalExponentsFn simdSurvivalExponents() noexcept;
 }  // namespace detail

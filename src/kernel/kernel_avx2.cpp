@@ -54,49 +54,10 @@ inline __m256d dominatorMask(const SoaBlock& b, const ActiveDims& active,
   return _mm256_and_pd(allLe, anyLt);
 }
 
-double blockSurvivalAvx2(const SoaBlock& b, const double* q, DimMask mask,
-                         const double* clipLo, const double* clipHi) noexcept {
-  const ActiveDims active = activeDims(mask, b.dims);
-  __m256d qv[kMaxDims];
-  for (std::size_t k = 0; k < active.n; ++k) {
-    qv[k] = _mm256_set1_pd(q[active.idx[k]]);
-  }
-  __m256d lov[kMaxDims];
-  __m256d hiv[kMaxDims];
-  if (clipLo != nullptr) {
-    for (std::size_t d = 0; d < b.dims; ++d) {
-      lov[d] = _mm256_set1_pd(clipLo[d]);
-      hiv[d] = _mm256_set1_pd(clipHi[d]);
-    }
-  }
-  const __m256d ones = _mm256_set1_pd(1.0);
-  __m256d acc = ones;
-  for (std::size_t base = 0; base < b.padded; base += kBlock) {
-    __m256d keep = dominatorMask(b, active, qv, base);
-    if (_mm256_movemask_pd(keep) == 0) continue;
-    if (clipLo != nullptr) {
-      __m256d inside = allOnes();
-      for (std::size_t d = 0; d < b.dims; ++d) {
-        const __m256d a = _mm256_loadu_pd(b.cols[d] + base);
-        inside = _mm256_and_pd(inside, _mm256_cmp_pd(lov[d], a, _CMP_LE_OQ));
-        inside = _mm256_and_pd(inside, _mm256_cmp_pd(a, hiv[d], _CMP_LE_OQ));
-      }
-      keep = _mm256_and_pd(keep, inside);
-    }
-    const __m256d factor = _mm256_blendv_pd(
-        ones, _mm256_sub_pd(ones, _mm256_loadu_pd(b.prob + base)), keep);
-    acc = _mm256_mul_pd(acc, factor);
-  }
-  alignas(32) double lane[kBlock];
-  _mm256_store_pd(lane, acc);
-  return (lane[0] * lane[1]) * (lane[2] * lane[3]);
-}
-
-// The same per-lane arithmetic as blockSurvivalAvx2, with the row blocks in
-// the outer loop so each is loaded once per group of points.  Branchless: a
-// block that dominates nothing multiplies a lane by exactly 1.0, which is
-// what skipping it does in the single-point kernel.
-void blockSurvivalBatchAvx2(const SoaBlock& b, const double* const* q,
+// Row blocks in the outer loop, so each is loaded once per kGroup points.
+// Branchless: a block that dominates nothing multiplies a lane by exactly
+// 1.0, which is what the scalar mirror's early exits leave unchanged.
+void blockSurvivalAvx2(const SoaBlock& b, const double* const* q,
                             std::size_t n, DimMask mask, const double* clipLo,
                             const double* clipHi, double* out) noexcept {
   constexpr std::size_t kGroup = 8;  // accumulators held per pass
@@ -224,9 +185,6 @@ void survivalExponentsAvx2(const SoaBlock& b, DimMask mask,
 }  // namespace
 
 BlockSurvivalFn simdBlockSurvival() noexcept { return &blockSurvivalAvx2; }
-BlockSurvivalBatchFn simdBlockSurvivalBatch() noexcept {
-  return &blockSurvivalBatchAvx2;
-}
 BlockDominatorsFn simdBlockDominators() noexcept {
   return &blockDominatorsAvx2;
 }
@@ -241,7 +199,6 @@ SurvivalExponentsFn simdSurvivalExponents() noexcept {
 namespace dsud::kernel::detail {
 
 BlockSurvivalFn simdBlockSurvival() noexcept { return nullptr; }
-BlockSurvivalBatchFn simdBlockSurvivalBatch() noexcept { return nullptr; }
 BlockDominatorsFn simdBlockDominators() noexcept { return nullptr; }
 SurvivalExponentsFn simdSurvivalExponents() noexcept { return nullptr; }
 

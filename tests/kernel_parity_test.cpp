@@ -137,6 +137,9 @@ TEST(KernelParityTest, DominatorVerdictsBitIdentical) {
   }
 }
 
+// Every query point of the data as one group (several AVX2 accumulator
+// passes), on both backends, and each point alone on the AVX2 backend: a
+// point's product must not depend on the backend or on its group.
 TEST(KernelParityTest, BlockSurvivalBitIdentical) {
   if (!kernel::simdAvailable()) GTEST_SKIP() << "AVX2 backend not active";
   Rng rng(1729);
@@ -147,57 +150,30 @@ TEST(KernelParityTest, BlockSurvivalBitIdentical) {
     // A clip window covering roughly the lower half of value space.
     std::vector<double> lo(dims, 0.0), hi(dims);
     for (std::size_t d = 0; d < dims; ++d) hi[d] = rng.uniform(2.0, 8.0);
-    for (DimMask mask : masksFor(dims, rng)) {
-      for (std::size_t qi = 0; qi < data.size(); ++qi) {
-        const double* q = data.at(qi).values.data();
-        EXPECT_TRUE(bitEqual(
-            kernel::blockSurvival(block, q, mask, nullptr, nullptr,
-                                  Backend::kScalar),
-            kernel::blockSurvival(block, q, mask, nullptr, nullptr,
-                                  Backend::kSimd)));
-        EXPECT_TRUE(bitEqual(
-            kernel::blockSurvival(block, q, mask, lo.data(), hi.data(),
-                                  Backend::kScalar),
-            kernel::blockSurvival(block, q, mask, lo.data(), hi.data(),
-                                  Backend::kSimd)));
-      }
-    }
-  }
-}
-
-// The batched kernel against the single-point one, on both backends: every
-// point of the group (more than one accumulator pass of them) must get the
-// exact bits its own blockSurvival call returns.
-TEST(KernelParityTest, BlockSurvivalBatchMatchesSinglePoint) {
-  Rng rng(4099);
-  for (std::size_t dims = 2; dims <= 8; ++dims) {
-    const Dataset data = awkwardDataset(dims, 30, rng);
-    const DatasetView view(data);
-    const SoaBlock block = blockOf(view);
-    std::vector<double> lo(dims, 0.0), hi(dims);
-    for (std::size_t d = 0; d < dims; ++d) hi[d] = rng.uniform(2.0, 8.0);
-    std::vector<const double*> points;
+    std::vector<const double*> group;
     for (std::size_t qi = 0; qi < data.size(); ++qi) {
-      points.push_back(data.at(qi).values.data());
+      group.push_back(data.at(qi).values.data());
     }
-    std::vector<Backend> backends = {Backend::kScalar};
-    if (kernel::simdAvailable()) backends.push_back(Backend::kSimd);
+    const std::size_t n = group.size();
     for (DimMask mask : masksFor(dims, rng)) {
       for (const bool clipped : {false, true}) {
         const double* clipLo = clipped ? lo.data() : nullptr;
         const double* clipHi = clipped ? hi.data() : nullptr;
-        for (const Backend be : backends) {
-          std::vector<double> batch(points.size());
-          kernel::blockSurvivalBatch(block, points.data(), points.size(), mask,
-                                     clipLo, clipHi, batch.data(), be);
-          for (std::size_t qi = 0; qi < points.size(); ++qi) {
-            EXPECT_TRUE(bitEqual(
-                batch[qi], kernel::blockSurvival(block, points[qi], mask,
-                                                 clipLo, clipHi,
-                                                 Backend::kScalar)))
-                << "dims=" << dims << " mask=" << mask << " q=" << qi
-                << " clipped=" << clipped;
-          }
+        std::vector<double> scalar(n), simd(n);
+        kernel::blockSurvival(block, group.data(), n, mask, clipLo, clipHi,
+                              scalar.data(), Backend::kScalar);
+        kernel::blockSurvival(block, group.data(), n, mask, clipLo, clipHi,
+                              simd.data(), Backend::kSimd);
+        for (std::size_t qi = 0; qi < n; ++qi) {
+          double alone = -1.0;
+          kernel::blockSurvival(block, &group[qi], 1, mask, clipLo, clipHi,
+                                &alone, Backend::kSimd);
+          EXPECT_TRUE(bitEqual(scalar[qi], simd[qi]))
+              << "dims=" << dims << " mask=" << mask << " q=" << qi
+              << " clipped=" << clipped;
+          EXPECT_TRUE(bitEqual(alone, simd[qi]))
+              << "dims=" << dims << " mask=" << mask << " q=" << qi
+              << " clipped=" << clipped;
         }
       }
     }
@@ -269,15 +245,11 @@ TEST(KernelParityTest, EdgeProbabilitiesAndPadding) {
     EXPECT_EQ(kernel::blockDominators(block, probe, fullMask(2), be),
               std::uint64_t{0b111});
     // Survival: (1-1)·(1-0)·(1-0.5) == exactly 0.
-    EXPECT_TRUE(bitEqual(
-        kernel::blockSurvival(block, probe, fullMask(2), nullptr, nullptr, be),
-        0.0));
-    const double* group[2] = {probe, data.at(2).values.data()};
-    double batch[2] = {-1.0, -1.0};
-    kernel::blockSurvivalBatch(block, group, 2, fullMask(2), nullptr, nullptr,
-                               batch, be);
-    EXPECT_TRUE(bitEqual(batch[0], 0.0));
-    EXPECT_TRUE(bitEqual(batch[1], 0.0));  // row 0 (P = 1) dominates (3,3)
+    const double* q = probe;
+    double survival = -1.0;
+    kernel::blockSurvival(block, &q, 1, fullMask(2), nullptr, nullptr,
+                          &survival, be);
+    EXPECT_TRUE(bitEqual(survival, 0.0));
   }
   std::vector<double> exps(data.size());
   kernel::survivalExponents(block, fullMask(2), exps.data(), Backend::kScalar);

@@ -13,8 +13,9 @@ builds its own dsudbench under its own .bench_build/ on first use.
 Prints, per workload, each end-to-end metric BENCHMARK.json declares: the
 parent's median with its quartiles, the change's median, the median
 change/parent ratio over the pairs, how many pairs the change won (by the
-metric's `better` direction), and whether the median ratio is worse than
-the metric's bound.  Also prints `attempted` and `failed` per side.
+metric's `better` direction) and how many read exactly equal (the check
+for deterministic counts), and whether the median ratio is worse than the
+metric's bound.  Also prints `attempted` and `failed` per side.
 
 Exit status: 1 when any run, on either side, failed a query, returned a
 wrong answer (dsudbench exits non-zero then) or produced no result; 2 on a
@@ -56,7 +57,7 @@ def ratio_line(metric, pairs):
     """One metric: each side's median (the parent's with its quartiles),
     the median change/parent ratio, wins, and the bound verdict."""
     name, better, bound = metric["name"], metric["better"], metric["bound"]
-    parents, changes, ratios, wins = [], [], [], 0
+    parents, changes, ratios, wins, ties = [], [], [], 0, 0
     for parent, change in pairs:
         p = parent["metrics"].get(name, {}).get("value")
         c = change["metrics"].get(name, {}).get("value")
@@ -67,6 +68,7 @@ def ratio_line(metric, pairs):
         ratios.append(c / p)
         if (c < p) if better == "lower" else (c > p):
             wins += 1
+        ties += c == p
     if not ratios:
         return f"  {name:18s} n/a"
     q1, parent_median, q3 = quartiles(parents)
@@ -75,7 +77,8 @@ def ratio_line(metric, pairs):
     verdict = "WORSE than bound" if worse else "within bound"
     return (f"  {name:18s} parent {parent_median:.4g} [{q1:.4g}, {q3:.4g}]"
             f"  change {statistics.median(changes):.4g}  ratio {median:.3f}"
-            f"  wins {wins}/{len(ratios)}  ({verdict} {bound:.2f})")
+            f"  wins {wins}/{len(ratios)}  equal {ties}"
+            f"  ({verdict} {bound:.2f})")
 
 
 def main():
