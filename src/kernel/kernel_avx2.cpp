@@ -58,10 +58,18 @@ inline __m256d dominatorMask(const SoaBlock& b, const ActiveDims& active,
 // Branchless: a block that dominates nothing multiplies a lane by exactly
 // 1.0, which is what the scalar mirror's early exits leave unchanged.
 void blockSurvivalAvx2(const SoaBlock& b, const double* const* q,
-                            std::size_t n, DimMask mask, const double* clipLo,
-                            const double* clipHi, double* out) noexcept {
+                       std::size_t n, DimMask mask, const double* clipLo,
+                       const double* clipHi, double* out) noexcept {
   constexpr std::size_t kGroup = 8;  // accumulators held per pass
   const ActiveDims active = activeDims(mask, b.dims);
+  __m256d lov[kMaxDims];
+  __m256d hiv[kMaxDims];
+  if (clipLo != nullptr) {
+    for (std::size_t d = 0; d < b.dims; ++d) {
+      lov[d] = _mm256_set1_pd(clipLo[d]);
+      hiv[d] = _mm256_set1_pd(clipHi[d]);
+    }
+  }
   const __m256d ones = _mm256_set1_pd(1.0);
   for (std::size_t first = 0; first < n; first += kGroup) {
     const std::size_t count = n - first < kGroup ? n - first : kGroup;
@@ -72,10 +80,8 @@ void blockSurvivalAvx2(const SoaBlock& b, const double* const* q,
       if (clipLo != nullptr) {
         for (std::size_t d = 0; d < b.dims; ++d) {
           const __m256d a = _mm256_loadu_pd(b.cols[d] + base);
-          inside = _mm256_and_pd(
-              inside, _mm256_cmp_pd(_mm256_set1_pd(clipLo[d]), a, _CMP_LE_OQ));
-          inside = _mm256_and_pd(
-              inside, _mm256_cmp_pd(a, _mm256_set1_pd(clipHi[d]), _CMP_LE_OQ));
+          inside = _mm256_and_pd(inside, _mm256_cmp_pd(lov[d], a, _CMP_LE_OQ));
+          inside = _mm256_and_pd(inside, _mm256_cmp_pd(a, hiv[d], _CMP_LE_OQ));
         }
       }
       __m256d cols[kMaxDims];

@@ -76,11 +76,11 @@ class FlightRecorder final : public EventSink {
   std::string anomaly(std::string_view reason);
 
  private:
-  struct Slot {
+  struct Slot {  // fields guarded by `mutex`
     mutable std::mutex mutex;
-    std::string line;       ///< eventToNdjson, guarded by mutex
+    std::string line;  ///< eventToNdjson; empty until first written
     std::uint64_t wallNs = 0;
-    std::uint64_t seq = 0;  ///< claim index; used iff line is non-empty
+    std::uint64_t seq = 0;  ///< claim index
   };
 
   std::vector<Slot> slots_;
