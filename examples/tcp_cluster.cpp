@@ -17,19 +17,10 @@
 #include <csignal>
 #include <cstdio>
 #include <memory>
-#include <thread>
-#include <vector>
 
 #include "common/options.hpp"
 #include "core/cluster.hpp"
-#include "core/local_site.hpp"
-#include "core/query_engine.hpp"
-#include "core/result.hpp"
-#include "core/site_handle.hpp"
-#include "gen/partition.hpp"
 #include "gen/synthetic.hpp"
-#include "net/tcp_transport.hpp"
-#include "obs/metrics.hpp"
 
 using namespace dsud;
 
@@ -57,48 +48,16 @@ int main(int argc, char** argv) {
   QueryConfig config;
   config.q = args.getDouble("q", 0.3);
 
-  const Dataset global = generateSynthetic(spec);
-  Rng partitionRng(spec.seed + 1);
-  const auto siteData = partitionUniform(global, m, partitionRng);
-
-  // Site side: engine + frame dispatcher + TCP server per site.
-  std::vector<std::unique_ptr<LocalSite>> sites;
-  std::vector<std::unique_ptr<SiteServer>> dispatchers;
-  std::vector<std::unique_ptr<TcpSiteServer>> servers;
-  std::vector<std::thread> threads;
-  for (std::size_t i = 0; i < m; ++i) {
-    sites.push_back(
-        std::make_unique<LocalSite>(static_cast<SiteId>(i), siteData[i]));
-    dispatchers.push_back(std::make_unique<SiteServer>(*sites.back()));
-    servers.push_back(
-        std::make_unique<TcpSiteServer>(dispatchers.back()->handler()));
-    std::printf("site %zu: %zu tuples, listening on 127.0.0.1:%u\n", i,
-                siteData[i].size(), servers.back()->port());
-    threads.emplace_back([srv = servers.back().get()] { srv->serve(); });
-  }
-
-  // Coordinator side: TCP channels + bandwidth meter + metrics registry.
-  // bindAccounting makes each channel report wire-level frame/byte counters
-  // and its TCP framing overhead, so the meter reflects real wire bytes.
-  // The socket knobs come from TransportConfig — the same config surface
-  // InProcCluster consumes — so TCP_NODELAY and the connect timeout are set
-  // in one place.
-  TransportConfig transport;
-  transport.socket.connectTimeout = std::chrono::milliseconds{2000};
-  BandwidthMeter meter;
-  obs::MetricsRegistry metrics;
-  std::vector<std::unique_ptr<SiteHandle>> handles;
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto id = static_cast<SiteId>(i);
-    auto channel = std::make_unique<TcpClientChannel>(servers[i]->port(),
-                                                      transport.socket);
-    channel->bindAccounting(id, &meter, &metrics);
-    handles.push_back(
-        std::make_unique<RpcSiteHandle>(id, std::move(channel), &meter));
-  }
   {
-    Coordinator coordinator(std::move(handles), &meter, spec.dims);
-    QueryEngine engine(coordinator);
+    // One TcpSiteServer thread per site on loopback, each reached through a
+    // connected TcpClientChannel that reports wire-level frame and byte
+    // counters, TCP framing included, so the meter sees real wire bytes.
+    TcpCluster cluster(
+        Topology::uniform(generateSynthetic(spec), m, spec.seed + 1));
+    for (std::size_t i = 0; i < m; ++i) {
+      std::printf("site %zu: %zu tuples\n", i,
+                  cluster.site(static_cast<SiteId>(i)).size());
+    }
 
     // Per-query fault handling: every RPC is bounded by the deadline
     // (SO_RCVTIMEO on the socket) and transient failures are retried with
@@ -126,7 +85,8 @@ int main(int argc, char** argv) {
                 static_cast<long long>(options.fault.deadline.count()),
                 options.fault.retry.maxAttempts);
     try {
-      const QueryResult result = engine.run(Algo::kEdsud, config, options);
+      const QueryResult result =
+          cluster.engine().run(Algo::kEdsud, config, options);
       std::printf("%zu skyline tuples in %.1f ms\n", result.skyline.size(),
                   result.stats.seconds * 1e3);
       std::printf("bandwidth: %llu tuples / %llu bytes over %llu RPCs\n",
@@ -134,7 +94,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(result.stats.bytesShipped),
                   static_cast<unsigned long long>(result.stats.roundTrips));
       for (std::size_t i = 0; i < m && i < 3; ++i) {
-        const LinkUsage link = meter.link(static_cast<SiteId>(i));
+        const LinkUsage link = cluster.meter().link(static_cast<SiteId>(i));
         std::printf(
             "  link to site %zu: %llu B up / %llu B down, %llu calls\n", i,
             static_cast<unsigned long long>(link.bytesToSite),
@@ -142,7 +102,8 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(link.calls));
       }
       std::uint64_t wireBytes = 0;
-      for (const auto& [name, value] : metrics.snapshot().counters) {
+      for (const auto& [name, value] :
+           cluster.metricsRegistry().snapshot().counters) {
         if (name.rfind("dsud_transport_bytes_total", 0) == 0) {
           wireBytes += value;
         }
@@ -153,13 +114,9 @@ int main(int argc, char** argv) {
       std::printf("query cancelled by signal — draining site servers...\n");
     }
     g_cancel = nullptr;
-    // Coordinator (and its channels) close here, ending the server loops.
+    // ~TcpCluster closes the channels, which ends each server loop, then
+    // stops and joins the server threads.
   }
-  // Belt and braces: the channel close above already ends each serve()
-  // loop; stop() additionally guarantees a return after the in-flight
-  // request even if a peer lingered, so the joins below cannot hang.
-  for (auto& srv : servers) srv->stop();
-  for (auto& t : threads) t.join();
   std::printf("all site servers shut down cleanly.\n");
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "core/cluster.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -17,6 +18,23 @@ namespace {
 /// amortize round trips, small enough that repartition traffic interleaves
 /// with query RPCs on the shared channel pools.
 constexpr std::size_t kStreamBatch = 512;
+
+/// Bound on each TcpCluster connect.  The site listens before its channel
+/// connects, so the handshake completes at once; the bound turns a broken
+/// loopback into a NetTimeout instead of a hang.
+constexpr std::chrono::milliseconds kConnectTimeout{2000};
+
+/// The topology's per-partition seed data.  Throws std::invalid_argument
+/// when there is none to build from: a topology whose data a cluster
+/// already consumed.
+std::vector<Dataset> takeSeed(Topology& topology, const char* who) {
+  std::vector<Dataset> seed = topology.takeSeedData();
+  if (seed.empty()) {
+    throw std::invalid_argument(std::string(who) +
+                                ": topology holds no seed data");
+  }
+  return seed;
+}
 }  // namespace
 
 InProcCluster::InProcCluster(Topology topology, ClusterConfig config)
@@ -24,7 +42,7 @@ InProcCluster::InProcCluster(Topology topology, ClusterConfig config)
   dims_ = topology_.dims();
   coordinator_ = std::make_unique<Coordinator>(&meter_, dims_, &metrics_,
                                                config_.breaker);
-  std::vector<Dataset> seed = topology_.takeSeedData();
+  std::vector<Dataset> seed = takeSeed(topology_, "InProcCluster");
   const std::vector<PartitionDesc> parts = topology_.partitions();
   for (std::size_t i = 0; i < parts.size(); ++i) {
     std::vector<Store>& chain = stores_[parts[i].id];
@@ -245,6 +263,60 @@ void InProcCluster::repartition(const Dataset& global) {
       }
     }
   }
+}
+
+TcpCluster::TcpCluster(Topology topology, const WrapHandler& wrap) {
+  if (topology.replicaFactor() > 1) {
+    throw std::invalid_argument(
+        "TcpCluster: one store per partition (no failover wiring); got "
+        "replica factor " + std::to_string(topology.replicaFactor()));
+  }
+  std::vector<Dataset> seed = takeSeed(topology, "TcpCluster");
+  const std::vector<PartitionDesc>& parts = topology.partitions();
+  std::vector<std::unique_ptr<SiteHandle>> handles;
+  try {
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      const SiteId id = parts[i].id;
+      sites_.push_back(std::make_unique<LocalSite>(id, seed[i]));
+      sites_.back()->setMetrics(&metrics_);
+      dispatchers_.push_back(std::make_unique<SiteServer>(*sites_.back()));
+      FrameHandler handler = dispatchers_.back()->handler();
+      if (wrap) handler = wrap(id, std::move(handler));
+      servers_.push_back(std::make_unique<TcpSiteServer>(std::move(handler)));
+      // Connect before serving: the listener queues the connection, so a
+      // started server always has a peer whose close ends its loop.
+      auto channel = std::make_unique<TcpClientChannel>(
+          servers_.back()->port(), TcpSocketOptions{kConnectTimeout});
+      channel->bindAccounting(id, &meter_, &metrics_);
+      handles.push_back(
+          std::make_unique<RpcSiteHandle>(id, std::move(channel), &meter_));
+      threads_.emplace_back([server = servers_.back().get()] {
+        try {
+          server->serve();
+        } catch (const std::exception&) {
+          // The handler threw (a stopped site) or the reply met a closed
+          // connection: the loop is over, and the client reports it as a
+          // NetError on its next read.
+        }
+      });
+    }
+    coordinator_ = std::make_unique<Coordinator>(
+        std::move(handles), &meter_, topology.dims(), &metrics_);
+    engine_ = std::make_unique<QueryEngine>(*coordinator_);
+  } catch (...) {
+    handles.clear();  // closes the channels connected so far
+    shutdown();
+    throw;
+  }
+}
+
+TcpCluster::~TcpCluster() { shutdown(); }
+
+void TcpCluster::shutdown() noexcept {
+  engine_.reset();
+  coordinator_.reset();
+  for (auto& server : servers_) server->stop();
+  for (auto& thread : threads_) thread.join();
 }
 
 }  // namespace dsud

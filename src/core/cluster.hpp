@@ -2,8 +2,9 @@
 // store (LocalSite + SiteServer + channel pool + RPC handle) for every
 // replica of every partition, wired to a Coordinator + QueryEngine through
 // the in-process transport with a shared BandwidthMeter.  This is the
-// harness used by tests, benches, and most examples; the TCP example wires
-// the same pieces over sockets instead.
+// harness used by tests, benches, and most examples.  TcpCluster (below)
+// builds the same static cluster over loopback sockets, one server thread
+// per site.
 //
 // Elasticity: the cluster is the wiring layer of the dynamic-membership
 // design (docs/ARCHITECTURE.md §13).  `addSite()` / `removeSite()` change
@@ -20,10 +21,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -33,6 +36,7 @@
 #include "core/query_engine.hpp"
 #include "core/topology.hpp"
 #include "net/chaos.hpp"
+#include "net/tcp_transport.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 
@@ -41,9 +45,7 @@ namespace dsud {
 /// Everything configurable about a cluster, in one immutable bag.
 struct ClusterConfig {
   PRTree::Options tree;
-  /// Channel-pool capacities and socket options (the in-process cluster
-  /// uses `transport.inprocChannelsPerSite`; the TCP wiring in
-  /// examples/tcp_cluster.cpp consumes the rest).
+  /// Channel-pool capacity per site (`transport.inprocChannelsPerSite`).
   TransportConfig transport;
   /// Per-member circuit breakers shared by every query session.
   CircuitBreakerConfig breaker;
@@ -154,6 +156,52 @@ class InProcCluster {
   std::map<SiteId, std::vector<Store>> stores_;
   std::unordered_map<SiteId, std::shared_ptr<ChaosState>> chaos_;
 
+  std::unique_ptr<Coordinator> coordinator_;
+  std::unique_ptr<QueryEngine> engine_;
+};
+
+/// The same protocol over real TCP loopback sockets: per partition a
+/// LocalSite, its SiteServer, a TcpSiteServer serving on its own thread,
+/// and one connected TcpClientChannel (so each site serialises concurrent
+/// sessions on its one connection), all reporting into the cluster's meter
+/// and registry.  Static: one epoch, one store per partition, no failover.
+/// Answers and counts equal InProcCluster's over the same topology; only
+/// the byte totals add kFrameHeaderBytes per frame in each direction.
+class TcpCluster {
+ public:
+  /// Decorates one site's frame handler (fault injection).  A handler that
+  /// throws ends that site's server loop, which closes its connection.
+  using WrapHandler = std::function<FrameHandler(SiteId, FrameHandler)>;
+
+  /// Builds and connects every site of `topology`, consuming its seed data.
+  /// Throws std::invalid_argument for a topology whose seed data is gone
+  /// (another cluster consumed it) and for a replica factor above 1.  A
+  /// failure partway (a connect that fails, say) stops and joins the
+  /// servers already started before it propagates.
+  explicit TcpCluster(Topology topology, const WrapHandler& wrap = {});
+  /// Engine, then coordinator (closing every channel, which ends each
+  /// server loop), then stop() and join.
+  ~TcpCluster();
+
+  TcpCluster(const TcpCluster&) = delete;
+  TcpCluster& operator=(const TcpCluster&) = delete;
+
+  QueryEngine& engine() noexcept { return *engine_; }
+  BandwidthMeter& meter() noexcept { return meter_; }
+  obs::MetricsRegistry& metricsRegistry() noexcept { return metrics_; }
+  /// Store of partition `id` (ids are the positions 0..m-1); throws
+  /// std::out_of_range for unknown ids.
+  LocalSite& site(SiteId id) { return *sites_.at(id); }
+
+ private:
+  void shutdown() noexcept;
+
+  BandwidthMeter meter_;
+  obs::MetricsRegistry metrics_;
+  std::vector<std::unique_ptr<LocalSite>> sites_;
+  std::vector<std::unique_ptr<SiteServer>> dispatchers_;
+  std::vector<std::unique_ptr<TcpSiteServer>> servers_;
+  std::vector<std::thread> threads_;
   std::unique_ptr<Coordinator> coordinator_;
   std::unique_ptr<QueryEngine> engine_;
 };

@@ -72,8 +72,8 @@ class Coordinator {
               CircuitBreakerConfig breaker = {});
 
   /// Static single-epoch construction from one handle per partition (no
-  /// replicas, no elasticity) — the TCP wiring and handle-level tests use
-  /// this; InProcCluster builds views itself.
+  /// replicas, no elasticity) — TcpCluster and handle-level tests use this;
+  /// InProcCluster builds views itself.
   Coordinator(std::vector<std::unique_ptr<SiteHandle>> sites,
               BandwidthMeter* meter, std::size_t dims,
               obs::MetricsRegistry* metrics = nullptr,

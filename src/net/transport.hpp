@@ -10,8 +10,8 @@
 //                      benchmarks (the paper's metric, tuples shipped, is
 //                      transport-independent);
 //   * TcpClientChannel / TcpSiteServer — the same frames over real TCP
-//                      sockets, used by `examples/tcp_cluster` and the
-//                      transport integration tests.
+//                      sockets, wired into a cluster by TcpCluster
+//                      (core/cluster.hpp).
 //
 // Frames are opaque byte vectors; the protocol layer (src/core/protocol.hpp)
 // defines their contents.
@@ -112,27 +112,20 @@ class ClientChannel {
   std::optional<Frame> parked_;  ///< the default send's request
 };
 
-/// Socket knobs of the TCP transport (TcpClientChannel / examples).
+/// Socket options of a TcpClientChannel.  TCP_NODELAY is always on: the
+/// request/response protocol sends one small frame per round trip, so
+/// Nagle would cost tens of ms per RPC.
 struct TcpSocketOptions {
-  /// TCP_NODELAY on every connection — the request/response protocol sends
-  /// one small frame per round trip, so Nagle costs tens of ms per RPC.
-  bool noDelay = true;
   /// Bound on connect(2); 0 blocks indefinitely.  Expiry throws NetTimeout.
   std::chrono::milliseconds connectTimeout{0};
 };
 
-/// Transport sizing and socket knobs, carried on ClusterConfig so
-/// deadline/retry/pool settings share one config surface.
+/// Transport sizing, carried on ClusterConfig.
 struct TransportConfig {
   /// Channels per site for the in-process transport: enough that a handful
   /// of concurrent sessions rarely block on a lease, small enough to stay
   /// negligible per site.
   std::size_t inprocChannelsPerSite = 4;
-  /// Channels per site over TCP.  TcpSiteServer accepts exactly one
-  /// connection, so the compatible default is 1 (the pool then serialises
-  /// all sessions on it).
-  std::size_t tcpChannelsPerSite = 1;
-  TcpSocketOptions socket;
 };
 
 }  // namespace dsud

@@ -63,10 +63,9 @@ Socket acceptFrom(const Socket& listener);
 
 /// Connect to 127.0.0.1:`port`.  A zero `timeout` blocks indefinitely;
 /// otherwise the connect races a poll and throws NetTimeout on expiry.
-/// `noDelay` controls TCP_NODELAY on the new socket.
+/// TCP_NODELAY is set on the new socket.
 Socket connectTo(std::uint16_t port,
-                 std::chrono::milliseconds timeout = std::chrono::milliseconds{0},
-                 bool noDelay = true);
+                 std::chrono::milliseconds timeout = std::chrono::milliseconds{0});
 
 /// Applies SO_RCVTIMEO/SO_SNDTIMEO to the socket (0 clears both).  Blocking
 /// reads/writes past the timeout then surface as NetTimeout from

@@ -19,7 +19,6 @@
 #include "net/inproc_transport.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/wire.hpp"
-#include "tcp_test_cluster.hpp"
 #include "test_util.hpp"
 
 namespace dsud {
@@ -205,7 +204,7 @@ std::vector<Dataset> waveSiteData() {
 
 /// The victim's server answers its first `frames` requests, then stops:
 /// its handler throws, the serve loop ends, and the connection closes.
-testutil::TcpCluster::WrapHandler stopVictimAfter(std::size_t frames) {
+TcpCluster::WrapHandler stopVictimAfter(std::size_t frames) {
   return [frames](SiteId site, FrameHandler inner) -> FrameHandler {
     if (site != kVictim) return inner;
     auto served = std::make_shared<std::size_t>(0);
@@ -243,7 +242,8 @@ TEST(FailureTest, TcpSiteStoppingInsideBroadcastWaveDegradesToSurvivors) {
     SCOPED_TRACE(static_cast<int>(algo));
     // Prepare and the first pull succeed; the first evaluate finds the
     // server gone.
-    testutil::TcpCluster cluster(siteData, stopVictimAfter(2));
+    TcpCluster cluster(Topology::fromPartitions(siteData),
+                       stopVictimAfter(2));
     const QueryResult degraded = runWithin(
         [&] { return cluster.engine().run(algo, QueryConfig{}, degrade); });
     const QueryResult expected = reference.engine().run(algo, QueryConfig{});
@@ -266,7 +266,7 @@ TEST(FailureTest, TcpSiteStoppingInsideBroadcastWaveDegradesToSurvivors) {
 
 TEST(FailureTest, TcpSiteStoppingMidQueryFailsAndReleasesEveryChannel) {
   const auto siteData = waveSiteData();
-  testutil::TcpCluster cluster(siteData, stopVictimAfter(6));
+  TcpCluster cluster(Topology::fromPartitions(siteData), stopVictimAfter(6));
   try {
     runWithin(
         [&] { return cluster.engine().run(Algo::kEdsud, QueryConfig{}); });
@@ -290,8 +290,9 @@ TEST(FailureTest, HungTcpSiteFailsItsEvaluateAtTheDeadlineInsideAWave) {
   // The victim answers everything but evaluates, which it sits on far
   // beyond the query's deadline.
   const auto siteData = waveSiteData();
-  testutil::TcpCluster cluster(
-      siteData, [](SiteId site, FrameHandler inner) -> FrameHandler {
+  TcpCluster cluster(
+      Topology::fromPartitions(siteData),
+      [](SiteId site, FrameHandler inner) -> FrameHandler {
         if (site != kVictim) return inner;
         return [inner](const Frame& request) {
           if (static_cast<MsgType>(request.at(0)) == MsgType::kEvaluate) {

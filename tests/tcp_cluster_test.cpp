@@ -9,18 +9,16 @@
 #include <future>
 #include <iostream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/cluster.hpp"
 #include "gen/partition.hpp"
 #include "gen/synthetic.hpp"
-#include "tcp_test_cluster.hpp"
 #include "test_util.hpp"
 
 namespace dsud {
 namespace {
-
-using testutil::TcpCluster;
 
 TEST(TcpClusterTest, EdsudOverTcpMatchesInProcess) {
   const Dataset global = generateSynthetic(
@@ -39,9 +37,10 @@ TEST(TcpClusterTest, EdsudOverTcpMatchesInProcess) {
   QueryResult tcp;
   std::uint64_t tcpWireBytes = 0;
   {
-    TcpCluster cluster(siteData);
+    TcpCluster cluster(Topology::fromPartitions(siteData));
     tcp = cluster.engine().run(Algo::kEdsud, config);
-    for (const auto& [name, value] : cluster.metrics().snapshot().counters) {
+    for (const auto& [name, value] :
+         cluster.metricsRegistry().snapshot().counters) {
       if (name.rfind("dsud_transport_bytes_total", 0) == 0) {
         tcpWireBytes += value;
       }
@@ -67,7 +66,7 @@ TEST(TcpClusterTest, DsudAndNaiveOverTcp) {
   Rng rng(113);
   const auto siteData = partitionUniform(global, 3, rng);
 
-  TcpCluster cluster(siteData);
+  TcpCluster cluster(Topology::fromPartitions(siteData));
   QueryConfig config;
 
   QueryResult naive = cluster.engine().run(Algo::kNaive, config);
@@ -108,7 +107,7 @@ std::vector<Dataset> sixteenSites() {
 TEST(TcpClusterTest, EveryAlgorithmOverTcpMatchesInProcessAtSixteenSites) {
   const auto siteData = sixteenSites();
   InProcCluster inproc(Topology::fromPartitions(siteData));
-  TcpCluster tcp(siteData);
+  TcpCluster tcp(Topology::fromPartitions(siteData));
 
   QueryConfig eager;
   QueryConfig park;
@@ -129,12 +128,71 @@ TEST(TcpClusterTest, EveryAlgorithmOverTcpMatchesInProcessAtSixteenSites) {
   expectSameRun(tcp.engine().run(topk), inproc.engine().run(topk));
 }
 
+TEST(TcpClusterTest, TcpMatchesInProcessOverTheSiteCountSweep) {
+  // Fig. 9's site counts (capped at 60 server threads), both value
+  // distributions, three thresholds, both protocols: over TCP a query's
+  // requests overlap in waves, in process they run one by one, and every
+  // count the paper reports must come out the same.  2400 tuples leave 40
+  // per site at m=60 and a nonempty skyline at every threshold.
+  constexpr std::size_t kTuples = 2400;
+  const std::size_t kSites[] = {4, 16, 40, 60};
+  const ValueDistribution kDists[] = {ValueDistribution::kIndependent,
+                                      ValueDistribution::kAnticorrelated};
+  const double kThresholds[] = {0.1, 0.3, 0.5};
+  const Algo kAlgos[] = {Algo::kDsud, Algo::kEdsud};
+  for (const std::size_t m : kSites) {
+    for (const ValueDistribution dist : kDists) {
+      const Dataset global =
+          generateSynthetic(SyntheticSpec{kTuples, 2, dist, 116});
+      InProcCluster inproc(Topology::uniform(global, m, 117));
+      TcpCluster tcp(Topology::uniform(global, m, 117));
+      for (const double q : kThresholds) {
+        for (const Algo algo : kAlgos) {
+          SCOPED_TRACE(testing::Message()
+                       << "m=" << m << " dist=" << static_cast<int>(dist)
+                       << " q=" << q << " algo=" << algoName(algo));
+          QueryConfig config;
+          config.q = q;
+          const QueryResult expected = inproc.engine().run(algo, config);
+          ASSERT_FALSE(expected.skyline.empty());
+          expectSameRun(tcp.engine().run(algo, config), expected);
+        }
+      }
+    }
+  }
+}
+
+TEST(TcpClusterTest, RejectsTopologiesItCannotServe) {
+  const Dataset global = generateSynthetic(
+      SyntheticSpec{200, 2, ValueDistribution::kIndependent, 118});
+  Topology consumed = Topology::uniform(global, 3, 119);
+  consumed.takeSeedData();
+  EXPECT_THROW(TcpCluster cluster(std::move(consumed)), std::invalid_argument);
+  EXPECT_THROW(TcpCluster cluster(Topology::uniform(global, 3, 119, 2)),
+               std::invalid_argument);
+}
+
+TEST(TcpClusterTest, FailedBuildJoinsTheServersAlreadyStarted) {
+  // Sites 0 and 1 are serving when site 2's wiring throws; the cluster
+  // must stop and join them before the exception leaves the constructor
+  // (an unjoined std::thread would terminate the binary).
+  const Dataset global = generateSynthetic(
+      SyntheticSpec{200, 2, ValueDistribution::kIndependent, 120});
+  const auto failAtSite2 = [](SiteId site, FrameHandler inner) {
+    if (site == 2) throw std::runtime_error("site 2 failed to start");
+    return inner;
+  };
+  EXPECT_THROW(
+      TcpCluster cluster(Topology::uniform(global, 4, 121), failAtSite2),
+      std::runtime_error);
+}
+
 TEST(TcpClusterTest, ThrowingProgressCallbackStillReleasesEverySite) {
   // The callback throws from emit, which runs while the broadcast's refill
   // pull to the answer's origin is still in flight.  Teardown must read
   // that reply before it sends the origin its finish frame.
   const auto siteData = sixteenSites();
-  TcpCluster cluster(siteData);
+  TcpCluster cluster(Topology::fromPartitions(siteData));
   QueryOptions throwing;
   throwing.progress = [](const GlobalSkylineEntry&, const ProgressPoint&) {
     throw std::runtime_error("client went away");
@@ -142,7 +200,8 @@ TEST(TcpClusterTest, ThrowingProgressCallbackStillReleasesEverySite) {
   EXPECT_THROW(cluster.engine().run(Algo::kEdsud, QueryConfig{}, throwing),
                std::runtime_error);
   for (std::size_t i = 0; i < siteData.size(); ++i) {
-    EXPECT_EQ(cluster.site(i).sessionCount(), 0u) << "site " << i;
+    EXPECT_EQ(cluster.site(static_cast<SiteId>(i)).sessionCount(), 0u)
+        << "site " << i;
   }
   InProcCluster inproc(Topology::fromPartitions(siteData));
   expectSameRun(cluster.engine().run(Algo::kEdsud, QueryConfig{}),
@@ -154,7 +213,7 @@ TEST(TcpClusterTest, ConcurrentQueriesOnSingleConnectionSitesFinish) {
   // a lease per site while its wave is in flight.  Waves lease in view
   // order, so concurrent queries queue up instead of deadlocking.
   const auto siteData = sixteenSites();
-  TcpCluster cluster(siteData);
+  TcpCluster cluster(Topology::fromPartitions(siteData));
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kPerThread = 5;
   const auto configFor = [](std::size_t i) {

@@ -6,20 +6,15 @@
 // Perfetto-loadable JSON, and the slow-query log's `query.slow` event.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/cluster.hpp"
-#include "core/local_site.hpp"
 #include "core/query_engine.hpp"
-#include "core/site_handle.hpp"
 #include "gen/partition.hpp"
 #include "gen/synthetic.hpp"
-#include "net/tcp_transport.hpp"
 #include "obs/export.hpp"
 #include "obs/log.hpp"
 #include "obs/merge.hpp"
@@ -345,54 +340,12 @@ TEST(SiteTraceE2ETest, SiteTraceOffKeepsTheWirePayloadIdentical) {
 // ---------------------------------------------------------------------------
 // End-to-end: kFetchTrace over real TCP sockets
 
-/// Minimal TCP cluster (the tcp_cluster_test harness, trimmed).
-class TcpCluster {
- public:
-  explicit TcpCluster(const std::vector<Dataset>& siteData) {
-    std::vector<std::unique_ptr<SiteHandle>> handles;
-    for (std::size_t i = 0; i < siteData.size(); ++i) {
-      const auto id = static_cast<SiteId>(i);
-      sites_.push_back(std::make_unique<LocalSite>(id, siteData[i]));
-      servers_.push_back(std::make_unique<SiteServer>(*sites_.back()));
-      tcpServers_.push_back(
-          std::make_unique<TcpSiteServer>(servers_.back()->handler()));
-      threads_.emplace_back(
-          [server = tcpServers_.back().get()] { server->serve(); });
-      auto channel =
-          std::make_unique<TcpClientChannel>(tcpServers_.back()->port());
-      channel->bindAccounting(id, &meter_, nullptr);
-      handles.push_back(
-          std::make_unique<RpcSiteHandle>(id, std::move(channel), &meter_));
-    }
-    coordinator_ = std::make_unique<Coordinator>(std::move(handles), &meter_,
-                                                 siteData.front().dims());
-    engine_ = std::make_unique<QueryEngine>(*coordinator_);
-  }
-
-  ~TcpCluster() {
-    engine_.reset();
-    coordinator_.reset();  // closes the channels, ending the server loops
-    for (auto& t : threads_) t.join();
-  }
-
-  QueryEngine& engine() { return *engine_; }
-
- private:
-  BandwidthMeter meter_;
-  std::vector<std::unique_ptr<LocalSite>> sites_;
-  std::vector<std::unique_ptr<SiteServer>> servers_;
-  std::vector<std::unique_ptr<TcpSiteServer>> tcpServers_;
-  std::vector<std::thread> threads_;
-  std::unique_ptr<Coordinator> coordinator_;
-  std::unique_ptr<QueryEngine> engine_;
-};
-
 TEST(SiteTraceE2ETest, TcpClusterAlignsSiteClocksIntoRpcSpans) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{700, 2, ValueDistribution::kAnticorrelated, 507});
   Rng rng(508);
   const auto siteData = partitionUniform(global, 4, rng);
-  TcpCluster cluster(siteData);
+  TcpCluster cluster(Topology::fromPartitions(siteData));
 
   const QueryResult result =
       cluster.engine().run(Algo::kEdsud, QueryConfig{}, siteTraced());

@@ -52,9 +52,11 @@
 // merged, clock-aligned timeline is written as Chrome trace_event JSON that loads directly in
 // Perfetto (https://ui.perfetto.dev) or chrome://tracing.  --transport=tcp
 // runs the cluster over real loopback sockets (one server thread per site)
-// so the trace shows genuine wire latencies.  --slow-threshold exercises
-// the slow-query log: a query slower than the threshold (seconds) emits a
-// `query.slow` event and bumps dsud_slow_queries_total.
+// so the trace shows genuine wire latencies; both transports partition the
+// data the same way at the same --seed, so their span counts agree.
+// --slow-threshold exercises the slow-query log: a query slower than the
+// threshold (seconds) emits a `query.slow` event and bumps
+// dsud_slow_queries_total.
 //
 // Fault tolerance (`query`): --deadline-ms bounds every RPC, --retries adds
 // that many retry attempts on top of the first try, and
@@ -96,19 +98,16 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <sys/socket.h>
 
 #include "common/io.hpp"
 #include "common/options.hpp"
-#include "common/rng.hpp"
 #include "core/cluster.hpp"
 #include "gen/nyse.hpp"
-#include "gen/partition.hpp"
 #include "gen/synthetic.hpp"
-#include "net/tcp_transport.hpp"
+#include "net/wire.hpp"
 #include "obs/export.hpp"
 #include "server/proto.hpp"
 #include "skyline/cardinality.hpp"
@@ -829,45 +828,15 @@ int cmdTrace(const ArgParser& args) {
   QueryConfig config;
   config.q = args.getDouble("q", 0.3);
 
+  // One partitioning for both transports: at the same --seed they trace
+  // the same sites over the same data.
+  Topology topology = Topology::uniform(data, m, seed);
   QueryResult result;
   if (transportKind == "tcp") {
-    // Real loopback sockets: one server thread per site, the coordinator
-    // talking through TcpClientChannel (the examples/tcp_cluster.cpp wiring).
-    Rng partitionRng(seed + 1);
-    const auto siteData = partitionUniform(data, m, partitionRng);
-    std::vector<std::unique_ptr<LocalSite>> sites;
-    std::vector<std::unique_ptr<SiteServer>> dispatchers;
-    std::vector<std::unique_ptr<TcpSiteServer>> servers;
-    std::vector<std::thread> threads;
-    for (std::size_t i = 0; i < m; ++i) {
-      sites.push_back(
-          std::make_unique<LocalSite>(static_cast<SiteId>(i), siteData[i]));
-      dispatchers.push_back(std::make_unique<SiteServer>(*sites.back()));
-      servers.push_back(
-          std::make_unique<TcpSiteServer>(dispatchers.back()->handler()));
-      threads.emplace_back([srv = servers.back().get()] { srv->serve(); });
-    }
-    TransportConfig transport;
-    transport.socket.connectTimeout = std::chrono::milliseconds{2000};
-    BandwidthMeter meter;
-    std::vector<std::unique_ptr<SiteHandle>> handles;
-    for (std::size_t i = 0; i < m; ++i) {
-      const auto id = static_cast<SiteId>(i);
-      auto channel = std::make_unique<TcpClientChannel>(servers[i]->port(),
-                                                        transport.socket);
-      channel->bindAccounting(id, &meter, nullptr);
-      handles.push_back(
-          std::make_unique<RpcSiteHandle>(id, std::move(channel), &meter));
-    }
-    {
-      Coordinator coordinator(std::move(handles), &meter, data.dims());
-      QueryEngine engine(coordinator);
-      result = engine.run(*algo, config, options);
-      // Coordinator (and its channels) close here, ending the server loops.
-    }
-    for (auto& t : threads) t.join();
+    TcpCluster cluster(std::move(topology));
+    result = cluster.engine().run(*algo, config, options);
   } else if (transportKind == "inproc") {
-    InProcCluster cluster(Topology::uniform(data, m, seed));
+    InProcCluster cluster(std::move(topology));
     result = cluster.engine().run(*algo, config, options);
   } else {
     std::fprintf(stderr, "trace: unknown --transport=%s\n",
