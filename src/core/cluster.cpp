@@ -277,7 +277,7 @@ TcpCluster::TcpCluster(Topology topology, const WrapHandler& wrap) {
   try {
     for (std::size_t i = 0; i < parts.size(); ++i) {
       const SiteId id = parts[i].id;
-      sites_.push_back(std::make_unique<LocalSite>(id, seed[i]));
+      sites_.push_back(std::make_unique<LocalSite>(id, std::move(seed[i])));
       sites_.back()->setMetrics(&metrics_);
       dispatchers_.push_back(std::make_unique<SiteServer>(*sites_.back()));
       FrameHandler handler = dispatchers_.back()->handler();
