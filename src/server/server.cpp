@@ -13,6 +13,7 @@
 #include "obs/export.hpp"
 #include "obs/log.hpp"
 #include "obs/recorder.hpp"
+#include "server/json.hpp"
 
 namespace dsud::server {
 
@@ -445,22 +446,23 @@ void QueryServer::runQuery(QueryJob job) {
   options.fault.onSiteFailure = job.request.degrade
                                     ? OnSiteFailure::kDegrade
                                     : OnSiteFailure::kFail;
-  const std::uint64_t limit = job.request.limit;
+  // Streams one `answer` line; false once the request's limit is reached.
   auto seq = std::make_shared<std::uint64_t>(0);
+  const auto streamAnswer = [this, connId, requestId, seq,
+                             limit = job.request.limit](
+                                const GlobalSkylineEntry& entry) {
+    ++*seq;
+    if (limit > 0 && *seq > limit) return false;
+    std::string line = encodeResponse(AnswerResponse{requestId, *seq, entry});
+    loop_.post([this, connId, line = std::move(line)] {
+      sendLine(connId, line);
+    });
+    return true;
+  };
   if (job.request.progressive) {
-    options.progress = [this, connId, requestId, limit, seq](
-                           const GlobalSkylineEntry& entry,
-                           const ProgressPoint&) {
-      ++*seq;
-      if (limit > 0 && *seq > limit) return;
-      AnswerResponse answer;
-      answer.id = requestId;
-      answer.seq = *seq;
-      answer.entry = entry;
-      std::string line = encodeResponse(answer);
-      loop_.post([this, connId, line = std::move(line)] {
-        sendLine(connId, line);
-      });
+    options.progress = [streamAnswer](const GlobalSkylineEntry& entry,
+                                      const ProgressPoint&) {
+      streamAnswer(entry);
     };
   }
 
@@ -473,16 +475,7 @@ void QueryServer::runQuery(QueryJob job) {
     // clients see a uniform answer stream for every query shape.
     if (job.request.progressive && *seq == 0) {
       for (const GlobalSkylineEntry& entry : result.skyline) {
-        ++*seq;
-        if (limit > 0 && *seq > limit) break;
-        AnswerResponse answer;
-        answer.id = requestId;
-        answer.seq = *seq;
-        answer.entry = entry;
-        std::string line = encodeResponse(answer);
-        loop_.post([this, connId, line = std::move(line)] {
-          sendLine(connId, line);
-        });
+        if (!streamAnswer(entry)) break;
       }
     }
     DoneResponse done;
