@@ -110,6 +110,10 @@ class Json {
 /// anything that came off the wire.
 void appendJsonString(std::string& out, std::string_view text);
 
+/// Appends `v` as dump() prints numbers: integral values in [-2^53, 2^53]
+/// without an exponent or fraction, everything else with %.17g.
+void appendJsonNumber(std::string& out, double v);
+
 /// True when `text` is well-formed UTF-8 (no overlong forms, no surrogates,
 /// max U+10FFFF).  The parser applies this to every string literal so the
 /// daemon never echoes invalid byte sequences back at other clients.
