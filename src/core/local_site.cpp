@@ -336,6 +336,12 @@ double LocalSite::replicaExternalSurvivalLocked(std::span<const double> v,
 ApplyInsertResponse LocalSite::applyInsert(const ApplyInsertRequest& request) {
   std::lock_guard lock(mutex_);
   const Tuple& t = request.tuple;
+  // A second copy of an id would answer twice and break every id-keyed
+  // comparison; refuse it before the store or its version changes.
+  if (tree_.contains(t.id)) {
+    throw std::invalid_argument("LocalSite::applyInsert: tuple id " +
+                                std::to_string(t.id) + " is already stored");
+  }
   tree_.insert(t);
   ++datasetVersion_;
 

@@ -111,6 +111,8 @@ class LocalSite {
 
   // --- Update maintenance (Sec. 5.4) ---------------------------------------
 
+  /// Throws std::invalid_argument, changing nothing, for an id the store
+  /// already holds.
   ApplyInsertResponse applyInsert(const ApplyInsertRequest& request);
   ApplyDeleteResponse applyDelete(const ApplyDeleteRequest& request);
 

@@ -874,6 +874,23 @@ void PRTree::forEach(const std::function<void(const LeafEntry&)>& fn) const {
   descend(root_);
 }
 
+bool PRTree::contains(TupleId id) const {
+  std::vector<std::uint32_t> stack;
+  if (root_ != kNoNode) stack.push_back(root_);
+  while (!stack.empty()) {
+    const std::uint32_t node = stack.back();
+    stack.pop_back();
+    const NodeHeader& h = header(node);
+    if (h.leaf) {
+      const TupleId* ids = leafIds(node);
+      if (std::find(ids, ids + h.fanout, id) != ids + h.fanout) return true;
+    } else {
+      stack.insert(stack.end(), childArray(node), childArray(node) + h.fanout);
+    }
+  }
+  return false;
+}
+
 // ---------------------------------------------------------------------------
 // NodeRef
 

@@ -139,6 +139,9 @@ class PRTree {
   /// Enumerates all stored tuples (arbitrary order).
   void forEach(const std::function<void(const LeafEntry&)>& fn) const;
 
+  /// True when a stored tuple has this id: a scan of every leaf's id column.
+  bool contains(TupleId id) const;
+
   // --- Structure access (BBS traversal, tests) -----------------------------
 
   /// Read-only handle to a tree node.  Valid only while the tree is not

@@ -198,6 +198,37 @@ TEST_F(RobustnessTest, OutOfRangeProbabilityRejected) {
   EXPECT_EQ(site.pendingCount(1), 2u);
 }
 
+TEST_F(RobustnessTest, DuplicateInsertIsRefused) {
+  const Dataset db =
+      testutil::makeDataset(2, {{1.0, 2.0, 0.9}, {2.0, 1.0, 0.9}});
+  LocalSite site(0, db);
+  SiteServer server(site);
+  const TupleId held = db.at(0).id;
+  ApplyInsertRequest insert;
+  insert.tuple = Tuple{held, {0.5, 0.5}, 0.5};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_THROW(server.handle(toFrame(insert)), std::invalid_argument);
+  }
+  EXPECT_EQ(site.size(), 2u);
+  EXPECT_EQ(site.datasetVersion(), 0u);
+
+  // One delete removes the only copy.
+  ApplyDeleteRequest erase;
+  erase.id = held;
+  erase.values = {1.0, 2.0};
+  const auto deleted =
+      fromResponseFrame<ApplyDeleteResponse>(server.handle(toFrame(erase)));
+  EXPECT_TRUE(deleted.existed);
+  EXPECT_EQ(site.size(), 1u);
+  EXPECT_EQ(site.datasetVersion(), 1u);
+
+  // A fresh id is still served.
+  insert.tuple.id = 1000;
+  server.handle(toFrame(insert));
+  EXPECT_EQ(site.size(), 2u);
+  EXPECT_EQ(site.datasetVersion(), 2u);
+}
+
 TEST_F(RobustnessTest, EvaluateWithWrongDimensionality) {
   server_.handle(validPrepare());
   EvaluateRequest eval;
