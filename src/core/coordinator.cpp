@@ -19,15 +19,6 @@ void sortByGlobalProbability(std::vector<GlobalSkylineEntry>& entries) {
             });
 }
 
-const char* algoName(Algo algo) noexcept {
-  switch (algo) {
-    case Algo::kNaive: return "naive";
-    case Algo::kDsud: return "dsud";
-    case Algo::kEdsud: return "edsud";
-  }
-  return "unknown";
-}
-
 Coordinator::Coordinator(BandwidthMeter* meter, std::size_t dims,
                          obs::MetricsRegistry* metrics,
                          CircuitBreakerConfig breaker)

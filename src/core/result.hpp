@@ -203,8 +203,12 @@ struct QueryOptions {
 /// canonical order used when comparing algorithm outputs.
 void sortByGlobalProbability(std::vector<GlobalSkylineEntry>& entries);
 
-/// Canonical lowercase name of an algorithm ("naive" / "dsud" / "edsud"),
+/// Canonical lowercase name of each algorithm, indexed by its Algo value;
 /// shared by the wire protocol, the profile, and the structured event log.
-const char* algoName(Algo algo) noexcept;
+inline constexpr const char* kAlgoNames[] = {"naive", "dsud", "edsud"};
+
+inline const char* algoName(Algo algo) noexcept {
+  return kAlgoNames[static_cast<std::size_t>(algo)];
+}
 
 }  // namespace dsud
