@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/query_engine.hpp"
 #include "obs/log.hpp"
 #include "skyline/spec.hpp"
 
@@ -30,21 +31,6 @@ BatchExecutor::BatchExecutor(QueryEngine& engine,
     width_ = &metrics->histogram("dsud_batch_width",
                                  {1, 2, 4, 8, 16, 32, 64, 128});
   }
-  timer_ = std::thread([this] { timerLoop(); });
-}
-
-BatchExecutor::~BatchExecutor() {
-  std::list<std::shared_ptr<Group>> leftovers;
-  {
-    std::lock_guard lock(mutex_);
-    stopping_ = true;
-    leftovers.swap(pending_);
-  }
-  cv_.notify_all();
-  timer_.join();
-  // Groups still waiting for their window run inline: every ticket resolves
-  // before the executor (and with it the engine) goes away.
-  for (const auto& group : leftovers) launchFlush(group, /*inlineRun=*/true);
 }
 
 bool BatchExecutor::compatible(const Group& group, Algo algo,
@@ -70,123 +56,71 @@ bool BatchExecutor::compatible(const Group& group, Algo algo,
   return sameFaultHandling(group.options.fault, options.fault);
 }
 
-QueryTicket BatchExecutor::submit(Algo algo, QueryConfig config,
-                                  QueryOptions options, QueryId id) {
+QueryResult BatchExecutor::run(Algo algo, const QueryConfig& config,
+                               const QueryOptions& options, QueryId id) {
   Member member;
   member.id = id;
   member.q = config.q;
   member.progress = options.progress;
   member.cancel = options.cancel;
-  std::future<QueryResult> future = member.promise.get_future();
+  std::future<QueryResult> answer = member.promise.get_future();
 
-  engine_->inFlight_.fetch_add(1, std::memory_order_relaxed);
-
-  std::shared_ptr<Group> full;
-  {
-    std::lock_guard lock(mutex_);
-    Group* target = nullptr;
-    std::shared_ptr<Group> targetRef;
-    for (auto& group : pending_) {
-      if (group->members.size() < group->maxMerge &&
-          compatible(*group, algo, config, options)) {
-        target = group.get();
-        targetRef = group;
-        break;
-      }
-    }
-    if (target == nullptr) {
-      auto group = std::make_shared<Group>();
-      group->algo = algo;
-      group->config = std::move(config);
-      group->options = std::move(options);
-      group->deadline =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(std::max(
-                                 group->options.batching.windowSeconds, 0.0)));
-      group->maxMerge = std::max<std::size_t>(group->options.batching.maxMerge,
-                                              1);
-      pending_.push_back(group);
-      target = group.get();
-      targetRef = std::move(group);
-    }
-    target->members.push_back(std::move(member));
-    if (target->members.size() >= target->maxMerge) {
-      pending_.remove(targetRef);
-      full = std::move(targetRef);
-    }
-  }
-  if (full != nullptr) {
-    launchFlush(std::move(full));
-  } else {
-    cv_.notify_one();  // the timer may need to re-arm for a nearer deadline
-  }
-  return QueryTicket(id, std::move(future));
-}
-
-void BatchExecutor::timerLoop() {
   std::unique_lock lock(mutex_);
-  while (!stopping_) {
-    if (pending_.empty()) {
-      cv_.wait(lock, [this] { return stopping_ || !pending_.empty(); });
-      continue;
+  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+    Group& group = **it;
+    if (!compatible(group, algo, config, options)) continue;
+    group.members.push_back(std::move(member));
+    if (group.members.size() >= group.maxMerge) {
+      group.closed = true;
+      pending_.erase(it);
+      // Under the lock: once it is released the opener may run the group
+      // and return, taking the group off its stack.
+      group.full.notify_one();
     }
-    Clock::time_point next = pending_.front()->deadline;
-    for (const auto& group : pending_) next = std::min(next, group->deadline);
-    cv_.wait_until(lock, next,
-                   [this, next] { return stopping_ || Clock::now() >= next; });
-    if (stopping_) break;
+    lock.unlock();
+    return answer.get();
+  }
 
-    const Clock::time_point now = Clock::now();
-    std::vector<std::shared_ptr<Group>> due;
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      if ((*it)->deadline <= now) {
-        due.push_back(std::move(*it));
-        it = pending_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (!due.empty()) {
-      lock.unlock();
-      for (auto& group : due) launchFlush(std::move(group));
-      lock.lock();
+  Group group;
+  group.algo = algo;
+  group.config = config;
+  group.options = options;
+  group.maxMerge = std::max<std::size_t>(options.batching.maxMerge, 1);
+  group.members.push_back(std::move(member));
+  if (group.maxMerge > 1) {
+    pending_.push_back(&group);
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double>(
+                               std::max(options.batching.windowSeconds, 0.0)));
+    group.full.wait_until(lock, deadline, [&group] { return group.closed; });
+    if (!group.closed) {
+      group.closed = true;
+      std::erase(pending_, &group);
     }
   }
+  lock.unlock();
+  // The opener runs the group even when its own query was cancelled while
+  // parked: the joiners wait on it.
+  flush(group);
+  return answer.get();
 }
 
-void BatchExecutor::launchFlush(std::shared_ptr<Group> group, bool inlineRun) {
-  const std::size_t width = group->members.size();
+void BatchExecutor::flush(Group& group) {
+  const std::size_t width = group.members.size();
   if (flushes_ != nullptr) flushes_->inc();
   if (width_ != nullptr) width_->observe(static_cast<double>(width));
   if (merged_ != nullptr && width > 1) merged_->add(width - 1);
   obs::eventLog().emit(LogLevel::kInfo, "batch", "batch.flush",
-                       {obs::field("algo", algoName(group->algo)),
+                       {obs::field("algo", algoName(group.algo)),
                         obs::field("width", width)});
-  QueryEngine* engine = engine_;
-  if (inlineRun) {
-    runGroup(*engine, *group);
-    return;
-  }
-  try {
-    engine->pool().submit(
-        [engine, group = std::move(group)] { runGroup(*engine, *group); });
-  } catch (const std::exception&) {
-    // Pool already shut down (teardown race): run on the calling thread so
-    // the members' tickets still resolve.
-    runGroup(*engine, *group);
-  }
-}
 
-void BatchExecutor::runGroup(QueryEngine& engine, Group& group) {
   // Members cancelled while parked observe QueryCancelled exactly like a
-  // cancelled queued submit; they must not hold the group's threshold down.
+  // cancelled solo run; they must not hold the group's threshold down.
   std::vector<Member*> live;
   live.reserve(group.members.size());
   for (Member& m : group.members) {
     if (m.cancel != nullptr && m.cancel->load(std::memory_order_relaxed)) {
-      // Decrement before resolving the ticket: a caller returning from
-      // get() must already see this query gone from inFlight().
-      engine.inFlight_.fetch_sub(1, std::memory_order_relaxed);
       m.promise.set_exception(std::make_exception_ptr(QueryCancelled(m.id)));
     } else {
       live.push_back(&m);
@@ -217,15 +151,12 @@ void BatchExecutor::runGroup(QueryEngine& engine, Group& group) {
 
   QueryResult leader;
   try {
-    leader = engine.dispatch(group.algo, config, options, leaderId);
+    leader = engine_->dispatch(group.algo, config, options, leaderId);
     leader.profile.batch = live.size() > 1 ? "leader" : "solo";
     leader.profile.batchWidth = live.size();
   } catch (...) {
     const std::exception_ptr error = std::current_exception();
-    for (Member* m : live) {
-      engine.inFlight_.fetch_sub(1, std::memory_order_relaxed);
-      m->promise.set_exception(error);
-    }
+    for (Member* m : live) m->promise.set_exception(error);
     return;
   }
 
@@ -247,7 +178,6 @@ void BatchExecutor::runGroup(QueryEngine& engine, Group& group) {
       point.reported = result.skyline.size();
       result.progress.push_back(point);
     }
-    engine.inFlight_.fetch_sub(1, std::memory_order_relaxed);
     m.promise.set_value(std::move(result));
   }
 }

@@ -2,7 +2,7 @@
 // layer).
 //
 // N concurrent queries over one cluster used to mean N independent PR-tree
-// descents even when they differed only by threshold.  QueryEngine::submit
+// descents even when they differed only by threshold.  QueryEngine::run
 // parks a query for a short batching window (QueryOptions::batching) when
 // the options enable it; compatible queries arriving inside the window —
 // same algorithm, effective mask, constraint window, prune/bound/expunge
@@ -12,12 +12,18 @@
 // and each member's answer is split back out coordinator-side by filtering
 // the shared answer stream to globalSkyProb >= q_i.
 //
+// Every query runs on its caller's thread.  The caller that opens a group
+// waits out the window (or until a joiner fills the group to maxMerge) and
+// then runs the group itself — also when its own query was cancelled while
+// parked, since the joiners depend on it.  Joiners block until the opener
+// resolves their share.
+//
 // Why the split is exact: for share-eligible configurations (see
 // shareEligible in query_engine.hpp) the emission order is q-invariant and
 // every answer's P_gsky is computed by the same site-order survival
 // product, so the filtered stream is bit-identical — content, order, and
 // probabilities — to a solo run at q_i.  Member progress callbacks fire
-// live from the leader's thread with per-member renumbered sequence
+// live from the opener's thread with per-member renumbered sequence
 // numbers; member stats report the shared descent's totals.
 //
 // The leader runs through QueryEngine::dispatch, so a result-cache hit
@@ -26,37 +32,32 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <list>
-#include <memory>
+#include <future>
 #include <mutex>
-#include <thread>
 #include <vector>
 
-#include "core/query_engine.hpp"
+#include "core/result.hpp"
 #include "obs/metrics.hpp"
 
 namespace dsud {
 
-/// One engine's batching window.  Created lazily by the first batched
-/// QueryEngine::submit; owns a timer thread that flushes due groups
-/// onto the engine's pool.  Thread-safe.
+class QueryEngine;
+
+/// One engine's batching window.  Thread-safe; owns no thread.
 class BatchExecutor {
  public:
   /// `metrics` may be null.  The merge counters are registered up front so
   /// they expose as zero series from the first scrape.
   BatchExecutor(QueryEngine& engine, obs::MetricsRegistry* metrics);
 
-  /// Flushes every pending group inline, then joins the timer thread.
-  /// Outstanding tickets complete before destruction returns.
-  ~BatchExecutor();
-
   BatchExecutor(const BatchExecutor&) = delete;
   BatchExecutor& operator=(const BatchExecutor&) = delete;
 
-  /// Joins (or opens) a group for this query and returns its ticket.  The
-  /// group flushes when its window expires or it reaches maxMerge members.
-  QueryTicket submit(Algo algo, QueryConfig config, QueryOptions options,
-                     QueryId id);
+  /// Joins (or opens) a group for this query and returns its answer once
+  /// the group has run; the opener runs it on this thread.  The group runs
+  /// when its window expires or it reaches maxMerge members.
+  QueryResult run(Algo algo, const QueryConfig& config,
+                  const QueryOptions& options, QueryId id);
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -71,24 +72,19 @@ class BatchExecutor {
 
   struct Group {
     Algo algo = Algo::kEdsud;
-    QueryConfig config;    ///< first member's; q is rewritten at flush
+    QueryConfig config;    ///< opener's; q is rewritten at flush
     QueryOptions options;  ///< leader template (fault policy, tracing)
-    Clock::time_point deadline;
     std::size_t maxMerge = 64;
     std::vector<Member> members;
+    bool closed = false;           ///< out of pending_: no one joins any more
+    std::condition_variable full;  ///< wakes the opener when closed early
   };
 
   bool compatible(const Group& group, Algo algo, const QueryConfig& config,
                   const QueryOptions& options) const;
-  void timerLoop();
-  /// Counts the flush and hands the group to the engine pool (or runs it on
-  /// the calling thread when `inlineRun`, the destructor's path).  Never
-  /// holds the executor mutex.
-  void launchFlush(std::shared_ptr<Group> group, bool inlineRun = false);
-  /// Leader run + per-member split.  Static on purpose: flush tasks queued
-  /// on the engine pool must not touch executor state that may be tearing
-  /// down.
-  static void runGroup(QueryEngine& engine, Group& group);
+  /// Counts the flush, runs the leader and splits its answer per member.
+  /// Never holds the executor mutex.
+  void flush(Group& group);
 
   QueryEngine* engine_;
   obs::Counter* merged_ = nullptr;    ///< members beyond the first, per flush
@@ -96,10 +92,7 @@ class BatchExecutor {
   obs::Histogram* width_ = nullptr;   ///< members per flushed group
 
   std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
-  std::list<std::shared_ptr<Group>> pending_;
-  std::thread timer_;
+  std::vector<Group*> pending_;  ///< open groups, each on its opener's stack
 };
 
 }  // namespace dsud

@@ -69,7 +69,7 @@ class InProcCluster {
 
   Coordinator& coordinator() noexcept { return *coordinator_; }
   /// The query entry point: immutable per-query sessions, safe for any
-  /// number of concurrent run/submit calls.
+  /// number of concurrent run calls.
   QueryEngine& engine() noexcept { return *engine_; }
   BandwidthMeter& meter() noexcept { return meter_; }
   /// The registry every layer of this cluster reports into.

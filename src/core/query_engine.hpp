@@ -9,57 +9,22 @@
 // same query run alone (survival factors reduce in site order; site sessions
 // are keyed by QueryId).
 //
-// Thread-safety contract: run and submit may be called
-// concurrently from any thread.  The coordinator must outlive the engine
-// and every outstanding QueryTicket.
+// Thread-safety contract: run may be called concurrently from any thread,
+// and every query runs on its caller's thread.  The coordinator must
+// outlive the engine, and the engine every run in progress.
 #pragma once
 
-#include <cstddef>
-#include <future>
-#include <memory>
-#include <mutex>
-
-#include "common/thread_pool.hpp"
+#include "core/batch.hpp"
 #include "core/coordinator.hpp"
 #include "core/result.hpp"
 
 namespace dsud {
 
-class BatchExecutor;
 class ResultCache;
-
-/// Handle to one submitted (asynchronous) query.
-class QueryTicket {
- public:
-  QueryTicket() = default;
-
-  /// Session id the engine assigned (known before the query starts).
-  QueryId id() const noexcept { return id_; }
-
-  /// Blocks until the query completes and returns its result (once);
-  /// rethrows any exception the query raised.
-  QueryResult get() { return future_.get(); }
-
-  bool valid() const noexcept { return future_.valid(); }
-  void wait() const { future_.wait(); }
-
- private:
-  friend class QueryEngine;
-  friend class BatchExecutor;
-  QueryTicket(QueryId id, std::future<QueryResult> future)
-      : id_(id), future_(std::move(future)) {}
-
-  QueryId id_ = kNoQuery;
-  std::future<QueryResult> future_;
-};
 
 class QueryEngine {
  public:
-  /// `workers` sizes the pool that executes submitted queries (0 = one
-  /// worker per hardware thread, capped at 8).  The pool is created lazily
-  /// on the first submit; synchronous runs never start it.
-  explicit QueryEngine(Coordinator& coordinator, std::size_t workers = 0);
-  ~QueryEngine();
+  explicit QueryEngine(Coordinator& coordinator);
 
   Coordinator& coordinator() noexcept { return *coord_; }
 
@@ -69,7 +34,6 @@ class QueryEngine {
   /// (see the .cpp's shareEligible) ever touch the cache; everything else
   /// runs exactly as before.
   void setResultCache(ResultCache* cache) noexcept { cache_ = cache; }
-  ResultCache* resultCache() const noexcept { return cache_; }
 
   // --- Execution ----------------------------------------------------------
   //
@@ -79,6 +43,14 @@ class QueryEngine {
   // carry the id the query's traces and site sessions will use.
 
   /// Runs one threshold query on the calling thread.
+  ///
+  /// When `options.batching.enabled` and the query is share-eligible, it
+  /// parks in the batching window first: compatible queries run inside one
+  /// window (same algorithm, subspace, window, and execution knobs — any
+  /// thresholds) merge into ONE site-side descent at the loosest threshold,
+  /// split back out per query.  The caller that opened the group runs it;
+  /// the others wait for their share.  Each answer is bit-identical to a
+  /// solo run of its query; stats describe the shared descent.
   QueryResult run(Algo algo, const QueryConfig& config,
                   const QueryOptions& options = {}, QueryId id = kNoQuery);
 
@@ -86,26 +58,6 @@ class QueryEngine {
   /// adaptive-threshold machinery).
   QueryResult run(const TopKConfig& config, const QueryOptions& options = {},
                   QueryId id = kNoQuery);
-
-  /// Enqueues a threshold query on the engine's pool and returns
-  /// immediately.  The config and options are copied into the session, so
-  /// the caller's may go out of scope.
-  ///
-  /// When `options.batching.enabled` and the query is share-eligible, it
-  /// parks in the batching window instead: compatible queries submitted
-  /// inside one window (same algorithm, subspace, window, and execution
-  /// knobs — any thresholds) merge into ONE site-side descent at the
-  /// loosest threshold, split back out per query.  Each ticket's answer is
-  /// bit-identical to a solo run of its query; stats describe the shared
-  /// descent.
-  QueryTicket submit(Algo algo, QueryConfig config, QueryOptions options = {},
-                     QueryId id = kNoQuery);
-
-  /// Queries currently executing or queued on this engine's pool (batched
-  /// queries count from submission to ticket fulfilment).
-  std::size_t inFlight() const noexcept {
-    return inFlight_.load(std::memory_order_relaxed);
-  }
 
  private:
   friend class BatchExecutor;
@@ -132,18 +84,9 @@ class QueryEngine {
   QueryResult fromCache(std::vector<GlobalSkylineEntry> entries,
                         const QueryOptions& options, QueryId id);
 
-  ThreadPool& pool();
-  BatchExecutor& batch();
-
   Coordinator* coord_;
-  std::size_t workers_;
   ResultCache* cache_ = nullptr;
-  std::mutex poolMutex_;            // guards lazy pool/batch creation
-  std::unique_ptr<ThreadPool> pool_;
-  std::atomic<std::size_t> inFlight_{0};
-  // After pool_ so it is destroyed first: pending groups flush onto the
-  // pool during the executor's teardown.
-  std::unique_ptr<BatchExecutor> batch_;
+  BatchExecutor batch_;
 };
 
 /// True when answers of a run at a looser threshold can be filtered down to

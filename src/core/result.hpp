@@ -140,7 +140,7 @@ enum class Algo {
   kEdsud,  ///< Sec. 5.2: + global-probability upper bounds and expunging
 };
 
-/// Opt-in shared-work execution (QueryEngine::submit): a submitted
+/// Opt-in shared-work execution (QueryEngine::run): a share-eligible
 /// query waits up to `windowSeconds` for compatible queries — same
 /// algorithm, subspace, window, and execution knobs; any thresholds — and
 /// the whole group runs as ONE site-side descent at the loosest threshold,
@@ -149,8 +149,8 @@ enum class Algo {
 /// "Shared-work execution & result cache").
 struct BatchingOptions {
   bool enabled = false;
-  /// How long a submitted query may wait to be merged.  0 still merges
-  /// queries that arrive while a flush is pending but adds no delay.
+  /// How long a query may wait to be merged.  0 still merges queries that
+  /// arrive before the group's opener runs it but adds no delay.
   double windowSeconds = 0.002;
   /// Flush early once this many queries merged into one group.
   std::size_t maxMerge = 64;
@@ -194,8 +194,8 @@ struct QueryOptions {
   /// emits a `query.slow` event and counts in dsud_slow_queries_total.
   double slowQueryThreshold = 0.0;
 
-  /// Shared-work batching window (QueryEngine::submit only; synchronous
-  /// runs ignore it).
+  /// Shared-work batching window (threshold queries only; top-k runs
+  /// ignore it).
   BatchingOptions batching;
 };
 

@@ -56,19 +56,13 @@ QueryServer::QueryServer(QueryEngine& engine, obs::MetricsRegistry& metrics,
        {"query", "ping", "cancel", "stats", "admin", "invalid", "oversized"}) {
     metrics_.counter(obs::labeled("dsud_server_requests_total", {{"op", op}}));
   }
-  // Likewise for the sharing-layer series: the batch executor is created
-  // lazily on the first batched submit, but scrapes must see its counters
-  // (and the cache's) as zero series from the start.
-  metrics_.counter("dsud_batch_merged_total");
-  metrics_.counter("dsud_batch_flushes_total");
   if (config_.cacheCapacity > 0) {
-    ResultCacheConfig cacheConfig;
-    cacheConfig.capacity = config_.cacheCapacity;
-    cacheConfig.shards = std::max<std::size_t>(config_.cacheShards, 1);
-    cache_ = std::make_unique<ResultCache>(cacheConfig, &metrics_);
+    cache_ = std::make_unique<ResultCache>(
+        ResultCacheConfig{.capacity = config_.cacheCapacity}, &metrics_);
     engine_.setResultCache(cache_.get());
   } else {
-    // The series still exist so dashboards and the CI grep see them.
+    // The cache's series still exist so dashboards and the CI grep see them
+    // as zero series from the start (the engine registers the batch ones).
     metrics_.counter("dsud_cache_hits_total");
     metrics_.counter("dsud_cache_misses_total");
   }
@@ -396,16 +390,6 @@ QueryResult QueryServer::executeQuery(const QueryRequest& request,
   config.q = request.q;
   config.mask = request.mask;
   config.window = request.window;
-  if (config_.batching.enabled) {
-    // Park in the batching window so concurrent compatible queries share
-    // one descent.  The ticket blocks this worker exactly like a
-    // synchronous run; answers still stream via options.progress.
-    QueryOptions batched = options;
-    batched.batching = config_.batching;
-    return engine_.submit(request.algo, std::move(config), std::move(batched),
-                          id)
-        .get();
-  }
   return engine_.run(request.algo, config, options, id);
 }
 
@@ -446,6 +430,10 @@ void QueryServer::runQuery(QueryJob job) {
   options.fault.onSiteFailure = job.request.degrade
                                     ? OnSiteFailure::kDegrade
                                     : OnSiteFailure::kFail;
+  // With batching enabled, a share-eligible threshold query parks in the
+  // engine's window so concurrent compatible queries share one descent;
+  // answers still stream via options.progress.
+  options.batching = config_.batching;
   // Streams one `answer` line; false once the request's limit is reached.
   auto seq = std::make_shared<std::uint64_t>(0);
   const auto streamAnswer = [this, connId, requestId, seq,

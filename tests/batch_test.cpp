@@ -5,18 +5,22 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
-#include "core/batch.hpp"
 #include "core/cluster.hpp"
 #include "core/query_engine.hpp"
 #include "core/result_cache.hpp"
 #include "gen/synthetic.hpp"
 #include "net/chaos.hpp"
+#include "test_util.hpp"
 
 namespace dsud {
 namespace {
+
+using testutil::runAsync;
 
 void expectSameAnswer(const QueryResult& got, const QueryResult& want) {
   ASSERT_EQ(got.skyline.size(), want.skyline.size());
@@ -57,12 +61,17 @@ TEST(BatchTest, ThresholdBandMergesIntoOneDescentBitIdentically) {
   const QueryResult ref04 = reference.engine().run(Algo::kEdsud, q04);
   const QueryResult ref05 = reference.engine().run(Algo::kEdsud, q05);
 
-  QueryEngine engine(shared.coordinator(), 4);
-  // Submission order deliberately tightest-first: the leader threshold is
-  // min over members, not the first member's.
-  QueryTicket t05 = engine.submit(Algo::kEdsud, q05, batched());
-  QueryTicket t03 = engine.submit(Algo::kEdsud, q03, batched());
-  QueryTicket t04 = engine.submit(Algo::kEdsud, q04, batched());
+  QueryEngine engine(shared.coordinator());
+  // Launched tightest-first: the leader threshold is min over members, not
+  // the opener's.  The group closes once all three joined.
+  QueryOptions band = batched(30.0);
+  band.batching.maxMerge = 3;
+  const QueryId id05 = shared.coordinator().nextQueryId();
+  const QueryId id03 = shared.coordinator().nextQueryId();
+  const QueryId id04 = shared.coordinator().nextQueryId();
+  auto t05 = runAsync(engine, Algo::kEdsud, q05, band, id05);
+  auto t03 = runAsync(engine, Algo::kEdsud, q03, band, id03);
+  auto t04 = runAsync(engine, Algo::kEdsud, q04, band, id04);
 
   const QueryResult got05 = t05.get();
   const QueryResult got03 = t03.get();
@@ -72,8 +81,8 @@ TEST(BatchTest, ThresholdBandMergesIntoOneDescentBitIdentically) {
   expectSameAnswer(got04, ref04);
   expectSameAnswer(got05, ref05);
   // Each member carries its own session id and a renumbered progress curve.
-  EXPECT_EQ(got03.id, t03.id());
-  EXPECT_EQ(got05.id, t05.id());
+  EXPECT_EQ(got03.id, id03);
+  EXPECT_EQ(got05.id, id05);
   ASSERT_EQ(got05.progress.size(), got05.skyline.size());
   for (std::size_t i = 0; i < got05.progress.size(); ++i) {
     EXPECT_EQ(got05.progress[i].reported, i + 1);
@@ -81,7 +90,6 @@ TEST(BatchTest, ThresholdBandMergesIntoOneDescentBitIdentically) {
 
   // All three rode one descent: two members were merged away.
   EXPECT_GE(counterValue(shared, "dsud_batch_merged_total"), 2.0);
-  EXPECT_EQ(engine.inFlight(), 0u);
 }
 
 TEST(BatchTest, IncompatibleQueriesFormSeparateGroups) {
@@ -99,10 +107,10 @@ TEST(BatchTest, IncompatibleQueriesFormSeparateGroups) {
   const QueryResult refDsud = reference.engine().run(Algo::kDsud, full);
   const QueryResult refSub = reference.engine().run(Algo::kEdsud, subspace);
 
-  QueryEngine engine(shared.coordinator(), 4);
-  QueryTicket a = engine.submit(Algo::kEdsud, full, batched());
-  QueryTicket b = engine.submit(Algo::kDsud, full, batched());
-  QueryTicket c = engine.submit(Algo::kEdsud, subspace, batched());
+  QueryEngine engine(shared.coordinator());
+  auto a = runAsync(engine, Algo::kEdsud, full, batched());
+  auto b = runAsync(engine, Algo::kDsud, full, batched());
+  auto c = runAsync(engine, Algo::kEdsud, subspace, batched());
 
   expectSameAnswer(a.get(), refEdsud);
   expectSameAnswer(b.get(), refDsud);
@@ -131,9 +139,9 @@ TEST(BatchTest, ProgressStreamsSplitPerMember) {
     seqTight.push_back(point.reported);
   };
 
-  QueryEngine engine(shared.coordinator(), 4);
-  QueryTicket loose = engine.submit(Algo::kEdsud, q02, optLoose);
-  QueryTicket tight = engine.submit(Algo::kEdsud, q06, optTight);
+  QueryEngine engine(shared.coordinator());
+  auto loose = runAsync(engine, Algo::kEdsud, q02, optLoose);
+  auto tight = runAsync(engine, Algo::kEdsud, q06, optTight);
   const QueryResult looseResult = loose.get();
   const QueryResult tightResult = tight.get();
 
@@ -171,9 +179,9 @@ TEST(BatchTest, SiteFailureDegradesEveryMemberIdentically) {
 
   QueryOptions batchedDegrade = batched();
   batchedDegrade.fault.onSiteFailure = OnSiteFailure::kDegrade;
-  QueryEngine engine(shared.coordinator(), 4);
-  QueryTicket t03 = engine.submit(Algo::kEdsud, q03, batchedDegrade);
-  QueryTicket t05 = engine.submit(Algo::kEdsud, q05, batchedDegrade);
+  QueryEngine engine(shared.coordinator());
+  auto t03 = runAsync(engine, Algo::kEdsud, q03, batchedDegrade);
+  auto t05 = runAsync(engine, Algo::kEdsud, q05, batchedDegrade);
   const QueryResult got03 = t03.get();
   const QueryResult got05 = t05.get();
 
@@ -201,9 +209,9 @@ TEST(BatchTest, MixedFaultHandlingNeverShares) {
   QueryOptions degrade = batched();
   degrade.fault.onSiteFailure = OnSiteFailure::kDegrade;
 
-  QueryEngine engine(shared.coordinator(), 4);
-  QueryTicket a = engine.submit(Algo::kEdsud, config, failFast);
-  QueryTicket b = engine.submit(Algo::kEdsud, config, degrade);
+  QueryEngine engine(shared.coordinator());
+  auto a = runAsync(engine, Algo::kEdsud, config, failFast);
+  auto b = runAsync(engine, Algo::kEdsud, config, degrade);
   expectSameAnswer(a.get(), ref);
   expectSameAnswer(b.get(), ref);
   // Healthy cluster: both complete clean, but in two groups.
@@ -227,33 +235,38 @@ TEST(BatchTest, CancelledMemberDoesNotPoisonItsGroup) {
   doomed.cancel = std::make_shared<std::atomic<bool>>(true);
   QueryOptions healthy = batched(0.2);
 
-  QueryEngine engine(shared.coordinator(), 4);
-  QueryTicket cancelled = engine.submit(Algo::kEdsud, q03, doomed);
-  QueryTicket fine = engine.submit(Algo::kEdsud, q05, healthy);
+  QueryEngine engine(shared.coordinator());
+  auto cancelled = runAsync(engine, Algo::kEdsud, q03, doomed);
+  auto fine = runAsync(engine, Algo::kEdsud, q05, healthy);
 
   EXPECT_THROW(cancelled.get(), QueryCancelled);
   expectSameAnswer(fine.get(), ref05);
-  EXPECT_EQ(engine.inFlight(), 0u);
 }
 
-TEST(BatchTest, EngineTeardownFlushesParkedGroups) {
+TEST(BatchTest, CancelledOpenerStillServesItsGroup) {
   const Dataset data = generateSynthetic(
-      SyntheticSpec{800, 2, ValueDistribution::kIndependent, 9700});
-  InProcCluster shared(Topology::uniform(data, 4, 9701));
-  InProcCluster reference(Topology::uniform(data, 4, 9701));
+      SyntheticSpec{1000, 2, ValueDistribution::kAnticorrelated, 9650});
+  InProcCluster shared(Topology::uniform(data, 4, 9651));
+  InProcCluster reference(Topology::uniform(data, 4, 9651));
 
-  QueryConfig config;
-  config.q = 0.3;
-  const QueryResult ref = reference.engine().run(Algo::kEdsud, config);
+  QueryConfig q03, q05;
+  q03.q = 0.3;
+  q05.q = 0.5;
+  const QueryResult ref05 = reference.engine().run(Algo::kEdsud, q05);
 
-  QueryTicket ticket;
-  {
-    QueryEngine engine(shared.coordinator(), 2);
-    // A window far longer than the engine's lifetime: destruction must
-    // flush the parked group, not strand the ticket.
-    ticket = engine.submit(Algo::kEdsud, config, batched(30.0));
-  }
-  expectSameAnswer(ticket.get(), ref);
+  QueryEngine engine(shared.coordinator());
+  QueryOptions opener = batched(1.0);
+  opener.cancel = std::make_shared<std::atomic<bool>>(false);
+  auto cancelled = runAsync(engine, Algo::kEdsud, q03, opener);
+  // Cancel the opener while it is parked, then join its group: the opener
+  // must still run the group for the joiner once the window closes.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  opener.cancel->store(true);
+  auto joiner = runAsync(engine, Algo::kEdsud, q05, batched(1.0));
+
+  expectSameAnswer(joiner.get(), ref05);
+  EXPECT_THROW(cancelled.get(), QueryCancelled);
+  EXPECT_GE(counterValue(shared, "dsud_batch_merged_total"), 1.0);
 }
 
 TEST(BatchTest, FullGroupFlushesBeforeTheWindowCloses) {
@@ -268,9 +281,9 @@ TEST(BatchTest, FullGroupFlushesBeforeTheWindowCloses) {
 
   QueryOptions options = batched(30.0);  // would park ~forever...
   options.batching.maxMerge = 2;         // ...but fills after two members
-  QueryEngine engine(shared.coordinator(), 4);
-  QueryTicket a = engine.submit(Algo::kEdsud, config, options);
-  QueryTicket b = engine.submit(Algo::kEdsud, config, options);
+  QueryEngine engine(shared.coordinator());
+  auto a = runAsync(engine, Algo::kEdsud, config, options);
+  auto b = runAsync(engine, Algo::kEdsud, config, options);
   expectSameAnswer(a.get(), ref);
   expectSameAnswer(b.get(), ref);
 }
@@ -280,7 +293,7 @@ TEST(BatchTest, CacheHitResolvesAWholeGroup) {
       SyntheticSpec{1200, 2, ValueDistribution::kAnticorrelated, 9900});
   InProcCluster shared(Topology::uniform(data, 4, 9901));
   ResultCache cache;
-  QueryEngine engine(shared.coordinator(), 4);
+  QueryEngine engine(shared.coordinator());
   engine.setResultCache(&cache);
 
   QueryConfig config;
@@ -290,8 +303,8 @@ TEST(BatchTest, CacheHitResolvesAWholeGroup) {
 
   // The leader runs through the cache-aware dispatch: a whole batched
   // group lands on the stored answer, no descent at all.
-  QueryTicket a = engine.submit(Algo::kEdsud, config, batched());
-  QueryTicket b = engine.submit(Algo::kEdsud, config, batched());
+  auto a = runAsync(engine, Algo::kEdsud, config, batched());
+  auto b = runAsync(engine, Algo::kEdsud, config, batched());
   const QueryResult gotA = a.get();
   const QueryResult gotB = b.get();
   expectSameAnswer(gotA, warm);

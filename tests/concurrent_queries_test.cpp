@@ -2,7 +2,7 @@
 // cluster must each produce bit-for-bit the result of the same query run
 // alone — answers, bandwidth stats, and protocol timelines — with no state
 // bleeding between sessions, and all site/coordinator/gauge state must
-// return to idle once the last ticket is redeemed.
+// return to idle once the last run returns.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +21,8 @@
 
 namespace dsud {
 namespace {
+
+using testutil::runAsync;
 
 std::vector<std::string> spanNames(const obs::QueryTrace& trace) {
   std::vector<std::string> names;
@@ -60,7 +62,6 @@ void expectSameRun(const QueryResult& got, const QueryResult& want) {
 }
 
 void expectIdle(InProcCluster& cluster) {
-  EXPECT_EQ(cluster.engine().inFlight(), 0u);
   for (std::size_t i = 0; i < cluster.siteCount(); ++i) {
     EXPECT_EQ(cluster.site(i).sessionCount(), 0u) << "site " << i;
   }
@@ -71,7 +72,7 @@ void expectIdle(InProcCluster& cluster) {
   }
 }
 
-TEST(ConcurrentQueriesTest, MixedSubmitsMatchSequentialBitForBit) {
+TEST(ConcurrentQueriesTest, MixedRunsMatchSequentialBitForBit) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{3000, 3, ValueDistribution::kAnticorrelated, 2200});
   InProcCluster shared(Topology::uniform(global, 8, 2201));
@@ -91,23 +92,22 @@ TEST(ConcurrentQueriesTest, MixedSubmitsMatchSequentialBitForBit) {
   const QueryResult refEdsud5 = reference.engine().run(Algo::kEdsud, q05);
   const QueryResult refTopK = reference.engine().run(topk);
 
-  // Five mixed sessions in flight at once over the shared sites: four on a
-  // pool wide enough that they genuinely overlap even on small machines,
-  // and a top-k run on its own thread under an id allocated up front.
-  QueryEngine engine(shared.coordinator(), 4);
-  const QueryId topkId = shared.coordinator().nextQueryId();
+  // Five mixed sessions in flight at once over the shared sites, each on a
+  // thread of its own under an id allocated up front.
+  QueryEngine engine(shared.coordinator());
+  QueryId ids[5];
+  for (QueryId& id : ids) id = shared.coordinator().nextQueryId();
+  const QueryId topkId = ids[4];
   std::future<QueryResult> topkRun = std::async(
       std::launch::async, [&] { return engine.run(topk, {}, topkId); });
-  QueryTicket tickets[4] = {
-      engine.submit(Algo::kNaive, q03),
-      engine.submit(Algo::kDsud, q03),
-      engine.submit(Algo::kEdsud, q03),
-      engine.submit(Algo::kEdsud, q05),
+  std::future<QueryResult> runs[4] = {
+      runAsync(engine, Algo::kNaive, q03, {}, ids[0]),
+      runAsync(engine, Algo::kDsud, q03, {}, ids[1]),
+      runAsync(engine, Algo::kEdsud, q03, {}, ids[2]),
+      runAsync(engine, Algo::kEdsud, q05, {}, ids[3]),
   };
 
   // Session ids are allocated up front and unique.
-  const QueryId ids[5] = {tickets[0].id(), tickets[1].id(), tickets[2].id(),
-                          tickets[3].id(), topkId};
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_NE(ids[i], kNoQuery);
     for (std::size_t j = i + 1; j < 5; ++j) {
@@ -115,10 +115,10 @@ TEST(ConcurrentQueriesTest, MixedSubmitsMatchSequentialBitForBit) {
     }
   }
 
-  const QueryResult naive = tickets[0].get();
-  const QueryResult dsud = tickets[1].get();
-  const QueryResult edsud = tickets[2].get();
-  const QueryResult edsud5 = tickets[3].get();
+  const QueryResult naive = runs[0].get();
+  const QueryResult dsud = runs[1].get();
+  const QueryResult edsud = runs[2].get();
+  const QueryResult edsud5 = runs[3].get();
   const QueryResult topkResult = topkRun.get();
 
   expectSameRun(naive, refNaive);
@@ -128,10 +128,9 @@ TEST(ConcurrentQueriesTest, MixedSubmitsMatchSequentialBitForBit) {
   expectSameRun(topkResult, refTopK);
 
   // Each result is stamped with its own session id.
-  EXPECT_EQ(naive.id, tickets[0].id());
+  EXPECT_EQ(naive.id, ids[0]);
   EXPECT_EQ(topkResult.id, topkId);
 
-  EXPECT_EQ(engine.inFlight(), 0u);
   expectIdle(shared);
 }
 
@@ -181,8 +180,8 @@ TEST(ConcurrentQueriesTest, PerQueryOptionsStayPerQuery) {
   const QueryResult refA = reference.engine().run(Algo::kEdsud, config, traced);
   const QueryResult refB = reference.engine().run(Algo::kEdsud, config, silent);
 
-  QueryTicket a = shared.engine().submit(Algo::kEdsud, config, traced);
-  QueryTicket b = shared.engine().submit(Algo::kEdsud, config, silent);
+  auto a = runAsync(shared.engine(), Algo::kEdsud, config, traced);
+  auto b = runAsync(shared.engine(), Algo::kEdsud, config, silent);
   const QueryResult gotA = a.get();
   const QueryResult gotB = b.get();
 
@@ -200,10 +199,10 @@ TEST(ConcurrentQueriesTest, OneOfFiveDegradesWhileTheRestStayBitIdentical) {
   const auto siteData = partitionUniform(global, 5, rng);
   const SiteId victim = 2;
 
-  // Query ids are allocated synchronously in submit order starting at 1, so
-  // the third submit below is session 3 — the only traffic chaos touches:
-  // its prepare at the victim succeeds (killAfter = 1), its first pull
-  // there fails for good.
+  // Query ids are allocated up front in order starting at 1, so the third
+  // run below is session 3 — the only traffic chaos touches: its prepare at
+  // the victim succeeds (killAfter = 1), its first pull there fails for
+  // good.
   ClusterConfig chaoticConfig;
   chaoticConfig.chaos =
       ChaosSpec{.killAfter = 1, .onlyQuery = 3, .onlySite = victim};
@@ -225,21 +224,23 @@ TEST(ConcurrentQueriesTest, OneOfFiveDegradesWhileTheRestStayBitIdentical) {
   QueryOptions degrade;
   degrade.fault.onSiteFailure = OnSiteFailure::kDegrade;
 
-  QueryEngine engine(shared.coordinator(), 5);
-  QueryTicket tickets[5] = {
-      engine.submit(Algo::kDsud, config),
-      engine.submit(Algo::kEdsud, config),
-      engine.submit(Algo::kEdsud, config, degrade),  // session 3
-      engine.submit(Algo::kNaive, config),
-      engine.submit(Algo::kDsud, config),
+  QueryEngine engine(shared.coordinator());
+  QueryId ids[5];
+  for (QueryId& id : ids) id = shared.coordinator().nextQueryId();
+  ASSERT_EQ(ids[2], QueryId{3});
+  std::future<QueryResult> runs[5] = {
+      runAsync(engine, Algo::kDsud, config, {}, ids[0]),
+      runAsync(engine, Algo::kEdsud, config, {}, ids[1]),
+      runAsync(engine, Algo::kEdsud, config, degrade, ids[2]),  // session 3
+      runAsync(engine, Algo::kNaive, config, {}, ids[3]),
+      runAsync(engine, Algo::kDsud, config, {}, ids[4]),
   };
-  ASSERT_EQ(tickets[2].id(), QueryId{3});
 
-  const QueryResult dsudA = tickets[0].get();
-  const QueryResult edsud = tickets[1].get();
-  const QueryResult degraded = tickets[2].get();
-  const QueryResult naive = tickets[3].get();
-  const QueryResult dsudB = tickets[4].get();
+  const QueryResult dsudA = runs[0].get();
+  const QueryResult edsud = runs[1].get();
+  const QueryResult degraded = runs[2].get();
+  const QueryResult naive = runs[3].get();
+  const QueryResult dsudB = runs[4].get();
 
   // The four untouched sessions are indistinguishable from running alone on
   // a healthy cluster — a concurrent session degrading must not bleed.
@@ -269,15 +270,14 @@ TEST(ConcurrentQueriesTest, OneOfFiveDegradesWhileTheRestStayBitIdentical) {
   // Everything drains except the victim's session-3 state: finish() skips
   // dead sites by design (their retry budget was already spent), so the
   // site-side session is only reclaimed when the site rejoins.
-  EXPECT_EQ(engine.inFlight(), 0u);
   for (std::size_t i = 0; i < shared.siteCount(); ++i) {
     EXPECT_EQ(shared.site(i).sessionCount(), i == victim ? 1u : 0u)
         << "site " << i;
   }
 }
 
-TEST(ConcurrentQueriesTest, BatchedSubmitsMatchSoloRunsBitForBit) {
-  // The shared-work path (a batched submit) merges a threshold band into one
+TEST(ConcurrentQueriesTest, BatchedRunsMatchSoloRunsBitForBit) {
+  // The shared-work path (a batched run) merges a threshold band into one
   // descent; every member's answer must still be bit-identical to the same
   // query run alone — content, order, and probabilities.
   const Dataset global = generateSynthetic(
@@ -297,10 +297,10 @@ TEST(ConcurrentQueriesTest, BatchedSubmitsMatchSoloRunsBitForBit) {
   batching.batching.enabled = true;
   batching.batching.windowSeconds = 0.05;
 
-  QueryEngine engine(shared.coordinator(), 4);
-  QueryTicket t07 = engine.submit(Algo::kEdsud, q07, batching);
-  QueryTicket t03 = engine.submit(Algo::kEdsud, q03, batching);
-  QueryTicket t05 = engine.submit(Algo::kEdsud, q05, batching);
+  QueryEngine engine(shared.coordinator());
+  auto t07 = runAsync(engine, Algo::kEdsud, q07, batching);
+  auto t03 = runAsync(engine, Algo::kEdsud, q03, batching);
+  auto t05 = runAsync(engine, Algo::kEdsud, q05, batching);
 
   const QueryResult got07 = t07.get();
   const QueryResult got03 = t03.get();
@@ -310,7 +310,6 @@ TEST(ConcurrentQueriesTest, BatchedSubmitsMatchSoloRunsBitForBit) {
   expectSameAnswer(got05, ref05);
   expectSameAnswer(got07, ref07);
 
-  EXPECT_EQ(engine.inFlight(), 0u);
   expectIdle(shared);
 }
 
@@ -323,17 +322,17 @@ TEST(ConcurrentQueriesTest, TransportCountersMatchSummedSessionUsage) {
   InProcCluster shared(Topology::uniform(global, 6, 2251));
 
   QueryConfig config;
-  QueryEngine engine(shared.coordinator(), 4);
-  QueryTicket tickets[4] = {
-      engine.submit(Algo::kDsud, config),
-      engine.submit(Algo::kEdsud, config),
-      engine.submit(Algo::kNaive, config),
-      engine.submit(Algo::kEdsud, config),
+  QueryEngine engine(shared.coordinator());
+  std::future<QueryResult> runs[4] = {
+      runAsync(engine, Algo::kDsud, config),
+      runAsync(engine, Algo::kEdsud, config),
+      runAsync(engine, Algo::kNaive, config),
+      runAsync(engine, Algo::kEdsud, config),
   };
   std::uint64_t bytes = 0;
   std::uint64_t roundTrips = 0;
-  for (auto& ticket : tickets) {
-    const QueryResult result = ticket.get();
+  for (auto& run : runs) {
+    const QueryResult result = run.get();
     bytes += result.stats.bytesShipped;
     roundTrips += result.stats.roundTrips;
   }
@@ -371,8 +370,8 @@ TEST(ConcurrentQueriesTest, ProgressCallbacksDoNotCrossSessions) {
     ++callsB;
   };
 
-  QueryTicket a = shared.engine().submit(Algo::kEdsud, config, optionsA);
-  QueryTicket b = shared.engine().submit(Algo::kDsud, config, optionsB);
+  auto a = runAsync(shared.engine(), Algo::kEdsud, config, optionsA);
+  auto b = runAsync(shared.engine(), Algo::kDsud, config, optionsB);
   const QueryResult resultA = a.get();
   const QueryResult resultB = b.get();
 

@@ -1,10 +1,12 @@
 // Shared helpers for the dsud test suites.
 #pragma once
 
+#include <future>
 #include <initializer_list>
 #include <vector>
 
 #include "common/dataset.hpp"
+#include "core/query_engine.hpp"
 #include "core/result.hpp"
 #include "skyline/linear_skyline.hpp"
 
@@ -55,6 +57,17 @@ inline std::vector<TupleId> idsOf(const std::vector<GlobalSkylineEntry>& v) {
   ids.reserve(v.size());
   for (const auto& e : v) ids.push_back(e.tuple.id);
   return ids;
+}
+
+/// One threshold query on a thread of its own, as concurrent callers of
+/// QueryEngine::run issue it.  Config and options are copied.
+inline std::future<QueryResult> runAsync(QueryEngine& engine, Algo algo,
+                                         const QueryConfig& config,
+                                         const QueryOptions& options = {},
+                                         QueryId id = kNoQuery) {
+  return std::async(std::launch::async, [&engine, algo, config, options, id] {
+    return engine.run(algo, config, options, id);
+  });
 }
 
 }  // namespace dsud::testutil

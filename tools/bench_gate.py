@@ -15,7 +15,14 @@ parent's median with its quartiles, the change's median, the median
 change/parent ratio over the pairs, how many pairs the change won (by the
 metric's `better` direction) and how many read exactly equal (the check
 for deterministic counts), and whether the median ratio is worse than the
-metric's bound.  Also prints `attempted` and `failed` per side.
+metric's bound.  Also prints `attempted` and `failed` per side, and how
+many pairs printed equal counts digests (paper-tcp's `determinism:` line).
+
+Count rules: paper-tcp's tuple and round counts average over the query
+shapes a run reached, so they are compared only over pairs in which both
+runs covered all 16 shapes, and read `n/a (shapes N/N')` when no pair did.
+dsudd-hot-rw's counts average over whichever queries missed the cache, so
+they follow throughput and are reported but labelled not gated.
 
 Exit status: 1 when any run, on either side, failed a query, returned a
 wrong answer (dsudbench exits non-zero then) or produced no result; 2 on a
@@ -25,13 +32,22 @@ paired ratios on the host decides whether they can be.
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 
 
+# paper-tcp cycles through this many query shapes (dsudbench/src/workloads.cpp).
+PAPER_TCP_SHAPES = 16
+COUNT_METRICS = ("tuples_per_query", "rounds_per_query")
+DETERMINISM = re.compile(r"determinism: (\d+) shapes, counts digest (\w+)")
+
+
 def run_once(checkout, workload, seed, seconds):
-    """One dsudbench run; returns (result dict or None, exit code)."""
+    """One dsudbench run; returns (result dict or None, exit code).  The
+    result carries the `determinism:` line's shape count and digest under
+    "shapes" and "digest" when the run printed one."""
     proc = subprocess.run(
         [sys.executable, "dsudbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -42,6 +58,12 @@ def run_once(checkout, workload, seed, seconds):
         result = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         result = None
+    if result is not None:
+        for line in lines:
+            match = DETERMINISM.search(line)
+            if match:
+                result["shapes"] = int(match.group(1))
+                result["digest"] = match.group(2)
     return result, proc.returncode
 
 
@@ -53,10 +75,21 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def ratio_line(metric, pairs):
+def ratio_line(workload, metric, pairs):
     """One metric: each side's median (the parent's with its quartiles),
-    the median change/parent ratio, wins, and the bound verdict."""
+    the median change/parent ratio, wins, and the bound verdict, under the
+    count rules in the module docstring."""
     name, better, bound = metric["name"], metric["better"], metric["bound"]
+    skipped = []
+    if workload == "paper-tcp" and name in COUNT_METRICS:
+        kept = []
+        for parent, change in pairs:
+            shapes = (parent.get("shapes"), change.get("shapes"))
+            if shapes == (PAPER_TCP_SHAPES, PAPER_TCP_SHAPES):
+                kept.append((parent, change))
+            else:
+                skipped.append("%s/%s" % shapes)
+        pairs = kept
     parents, changes, ratios, wins, ties = [], [], [], 0, 0
     for parent, change in pairs:
         p = parent["metrics"].get(name, {}).get("value")
@@ -69,16 +102,23 @@ def ratio_line(metric, pairs):
         if (c < p) if better == "lower" else (c > p):
             wins += 1
         ties += c == p
+    note = f"  (shapes {', '.join(skipped)} skipped)" if skipped else ""
     if not ratios:
+        if skipped:
+            return f"  {name:18s} n/a (shapes {', '.join(skipped)})"
         return f"  {name:18s} n/a"
     q1, parent_median, q3 = quartiles(parents)
     median = statistics.median(ratios)
-    worse = median > 1 + bound if better == "lower" else median < 1 - bound
-    verdict = "WORSE than bound" if worse else "within bound"
+    if workload == "dsudd-hot-rw" and name in COUNT_METRICS:
+        verdict = "not gated (follow the cache-miss mix)"
+    else:
+        worse = median > 1 + bound if better == "lower" else \
+            median < 1 - bound
+        verdict = "WORSE than bound" if worse else "within bound"
+        verdict = f"({verdict} {bound:.2f})"
     return (f"  {name:18s} parent {parent_median:.4g} [{q1:.4g}, {q3:.4g}]"
             f"  change {statistics.median(changes):.4g}  ratio {median:.3f}"
-            f"  wins {wins}/{len(ratios)}  equal {ties}"
-            f"  ({verdict} {bound:.2f})")
+            f"  wins {wins}/{len(ratios)}  equal {ties}  {verdict}{note}")
 
 
 def main():
@@ -133,8 +173,15 @@ def main():
               f"{totals['change']['attempted']}, failed parent "
               f"{totals['parent']['failed']} / change "
               f"{totals['change']['failed']}")
+        digests = [(p["digest"], c["digest"]) for p, c in pairs
+                   if "digest" in p and "digest" in c]
+        if digests:
+            print(f"  counts digests equal on "
+                  f"{sum(p == c for p, c in digests)}/{len(digests)} pairs")
+        else:
+            print("  counts digests: none printed")
         for metric in metrics:
-            print(ratio_line(metric, pairs))
+            print(ratio_line(workload, metric, pairs))
         sys.stdout.flush()
     return 1 if bad else 0
 
